@@ -6,7 +6,8 @@ Subpackages/modules:
   polynomials in y-variables, the delta-linear tower ring, exact division
   by linear forms, and the difference-basis (positivity) decomposition.
 - ``labels``: the eight edge labels, the canonical triangle/rhombus piece
-  tables, rotation/dualization, two-side completion, table validation.
+  tables and every table derived from them, rotation/dualization,
+  two-side completion, table validation.
 - ``strings``: 012-strings, Bruhat covers, the recursion oracle for
   structure constants, the Chevalley rule, and the quantum layer.
 - ``board``: triangular-lattice geometry, puzzles, boundaries, weights,

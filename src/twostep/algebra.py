@@ -32,7 +32,6 @@ __all__ = [
     "zeta_pow",
     "YPoly",
     "y",
-    "ypoly_const",
     "parse_poly",
     "format_poly",
     "exact_divide",
@@ -113,13 +112,6 @@ class Cyc12:
         return Cyc12(prod[:4])
 
     __rmul__ = __mul__
-
-    def complex_value(self) -> complex:
-        """Floating-point embedding (sanity checks only)."""
-        import cmath
-
-        z = cmath.exp(1j * cmath.pi / 6)
-        return sum(c * z**k for k, c in enumerate(self.coeffs))
 
     def __repr__(self) -> str:
         return f"Cyc12({self.coeffs!r})"
@@ -322,10 +314,6 @@ def y(i: int) -> YPoly:
     if i < 1:
         raise ValueError("variables are 1-based")
     return YPoly({(0,) * (i - 1) + (1,): 1})
-
-
-def ypoly_const(n: int) -> YPoly:
-    return YPoly.const(n)
 
 
 # -- canonical text form ----------------------------------------------------

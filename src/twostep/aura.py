@@ -8,8 +8,8 @@ encoded by the pair ``(d, label)`` where ``d`` is the gash direction
 toward the label's side.  For a simple label ``a`` the aura is
 ``delta_a * zeta^(2d+1)``; for composed labels it is forced by the rule
 that the side auras of every valid piece (labels moved slightly inside)
-sum to zero.  The composed values are derived once from the piece tables
-and checked for consistency across all pieces.
+sum to zero.  The composed values are derived once per table value (see
+``PieceTables.aura``) and checked for consistency across all pieces.
 
 The aura of a gash is the sum of its two semi-labeled edges; gashes in
 one propagation class share one aura, and swapping the two labels
@@ -36,10 +36,9 @@ True
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable
 
-from .algebra import Tower, YPoly, y, zeta_pow
+from .algebra import Tower, YPoly, y
 from .board import (
     Puzzle,
     down_cell_edges,
@@ -47,7 +46,7 @@ from .board import (
     rhombus_position,
     up_cell_edges,
 )
-from .labels import SIMPLE, tables
+from .labels import IN_DOWN, IN_UP, tables
 from .mutation import (
     AbstractGash,
     FlawedPuzzle,
@@ -83,54 +82,9 @@ __all__ = [
     "check_recursion",
 ]
 
-# direction (toward the piece interior) of side i of a cell;
-# up cells list sides as (left, right, bottom), down cells as (nw, ne, top)
-_IN_UP = (5, 3, 1)
-_IN_DOWN = (0, 2, 4)
-
-
-def _pieces() -> list[tuple[tuple[int, int, int], tuple[int, int, int]]]:
-    """All valid triangles as (in-directions, side labels)."""
-    ups = sorted(tables().up_triangles)
-    out = [(_IN_UP, t) for t in ups]
-    out += [(_IN_DOWN, (r, l, h)) for (l, r, h) in ups]
-    return out
-
-
-@lru_cache(maxsize=None)
 def aura_table() -> dict[tuple[int, int], Tower]:
-    """Aura of every semi-labeled edge ``(direction d, label)``.
-
-    Simple labels are seeded directly; composed labels are solved from
-    pieces with a single unknown side until the table is complete.  The
-    zero-sum rule is then asserted for *all* pieces (so two pieces can
-    never derive different values) together with rotation equivariance.
-    """
-    table: dict[tuple[int, int], Tower] = {}
-    for d in range(6):
-        for a in SIMPLE:
-            table[(d, a)] = Tower.delta(a) * Tower.zeta(2 * d + 1)
-    pieces = _pieces()
-    changed = True
-    while changed:
-        changed = False
-        for ins, t in pieces:
-            unknown = [i for i in range(3) if (ins[i], t[i]) not in table]
-            if len(unknown) == 1:
-                i = unknown[0]
-                total = Tower.zero()
-                for k in range(3):
-                    if k != i:
-                        total = total + table[(ins[k], t[k])]
-                table[(ins[i], t[i])] = -total
-                changed = True
-    assert len(table) == 48, f"underdetermined aura table: {len(table)} entries"
-    for ins, t in pieces:
-        total = table[(ins[0], t[0])] + table[(ins[1], t[1])] + table[(ins[2], t[2])]
-        assert not total, f"inconsistent aura derivation at piece {t}"
-    for (d, a), v in table.items():
-        assert table[((d + 1) % 6, a)] == v * zeta_pow(2), (d, a)
-    return table
+    """Aura of every semi-labeled edge ``(direction d, label)``."""
+    return tables().aura
 
 
 def edge_aura(d: int, label: int) -> Tower:
@@ -141,7 +95,7 @@ def edge_aura(d: int, label: int) -> Tower:
     >>> edge_aura(4, 2) == Tower.delta(2) * Tower.zeta(9)
     True
     """
-    return aura_table()[(d % 6, label)]
+    return tables().aura[(d % 6, label)]
 
 
 def gash_aura(g: AbstractGash) -> Tower:
@@ -153,7 +107,8 @@ def gash_aura(g: AbstractGash) -> Tower:
     True
     """
     d, orig, new = g
-    return edge_aura(d, orig) + edge_aura(d + 3, new)
+    table = tables().aura
+    return table[(d, orig)] + table[((d + 3) % 6, new)]
 
 
 def resolution_aura(R: GashedPuzzle) -> Tower:
@@ -186,12 +141,13 @@ def piece_equivariant_aura(P: Puzzle, cell: tuple[str, int, int]) -> Tower:
     of ``weight(e) * edge_aura`` with labels moved inside the piece."""
     kind, x, yy = cell
     if kind == "U":
-        edges, ins = up_cell_edges(x, yy), _IN_UP
+        edges, ins = up_cell_edges(x, yy), IN_UP
     else:
-        edges, ins = down_cell_edges(x, yy), _IN_DOWN
+        edges, ins = down_cell_edges(x, yy), IN_DOWN
+    table = tables().aura
     out = Tower.zero()
     for e, d in zip(edges, ins):
-        out = out + Tower.from_ypoly(edge_weight(e, P.n)) * edge_aura(d, P.labels[e])
+        out = out + Tower.from_ypoly(edge_weight(e, P.n)) * table[(d, P.labels[e])]
     return out
 
 
@@ -258,11 +214,12 @@ def check_boundary_aura(P: Puzzle) -> dict:
     u, v, w = P.boundary()
     a, b, n = content(u)
     gamma = gamma_form(a, b, n)
+    table = tables().aura
     sums, targets = [], []
     for s, d in ((u, 5), (v, 3), (w, 1)):
         total = Tower.zero()
         for letter in s:
-            total = total + edge_aura(d, letter)
+            total = total + table[(d, letter)]
         sums.append(total)
         targets.append(gamma * Tower.zeta(2 * d + 1))
     return {

@@ -55,8 +55,6 @@ __all__ = [
     "rhombus_outer_edges",
     "rhombus_inner_edge",
     "all_edges",
-    "left_projection",
-    "right_projection",
     "edge_weight",
     "rhombus_position",
     "demo_puzzle",
@@ -134,28 +132,6 @@ def all_edges(n: int) -> list[Edge]:
     for x, yy in up_cells(n):
         out.extend(up_cell_edges(x, yy))
     return out
-
-
-def left_projection(e: Edge, n: int) -> int:
-    """Bottom-edge index hit by the line through ``e`` parallel to the
-    left border (NW-SE edges and bottom horizontals only)."""
-    kind, x, yy = e
-    if kind == "B":
-        return x + 1
-    if kind == "H" and yy == n - 1:
-        return x + 1
-    raise ValueError(f"no left projection for edge {e!r}")
-
-
-def right_projection(e: Edge, n: int) -> int:
-    """Bottom-edge index hit by the line through ``e`` parallel to the
-    right border (SW-NE edges and bottom horizontals only)."""
-    kind, x, yy = e
-    if kind == "A":
-        return n - yy + x
-    if kind == "H" and yy == n - 1:
-        return x + 1
-    raise ValueError(f"no right projection for edge {e!r}")
 
 
 def edge_weight(e: Edge, n: int) -> YPoly:

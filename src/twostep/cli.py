@@ -24,7 +24,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .algebra import format_poly
 from .board import puzzle_from_json, render_svg, render_text
@@ -32,6 +32,7 @@ from .strings import (
     String012,
     all_strings,
     content,
+    contents_up_to,
     fmt,
     oracle_constant,
     parse,
@@ -53,13 +54,6 @@ def _parse_string(text: str) -> String012:
         return parse(text)
     except (ValueError, TypeError) as e:
         raise InputError(str(e))
-
-
-def _contents_up_to(max_n: int) -> Iterator[tuple[int, int, int]]:
-    for n in range(2, max_n + 1):
-        for b in range(1, n):
-            for a in range(1, b + 1):
-                yield (a, b, n)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +239,7 @@ def _suite_oracle(max_n: int) -> list[dict]:
     from .search import structure_constant
 
     reports = []
-    for a, b, n in _contents_up_to(max_n):
+    for a, b, n in contents_up_to(max_n):
         bad = []
         strings = all_strings(a, b, n)
         for u in strings:
@@ -269,7 +263,7 @@ def _suite_mutation(max_n: int) -> list[dict]:
     from .mutation import enumerate_flawed, mutate, mutations, phi, recognize_flaw
 
     reports = []
-    for a, b, n in _contents_up_to(max_n):
+    for a, b, n in contents_up_to(max_n):
         bad = []
         count = 0
         strings = all_strings(a, b, n)
@@ -312,7 +306,7 @@ def _suite_aura(max_n: int) -> list[dict]:
     from .search import enumerate_puzzles
 
     reports = [check_gash_classes()]
-    for a, b, n in _contents_up_to(max_n):
+    for a, b, n in contents_up_to(max_n):
         bad = []
         strings = all_strings(a, b, n)
         seen = set()

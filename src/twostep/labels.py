@@ -16,10 +16,13 @@ sides; opposite sides always agree.  The eight canonical rhombi are::
 
     (1,0)  (2,1)  (2,0)  (2,3)  (4,0)  (4,3)  (6,0)  (2,7)
 
-Pieces may be rotated but never reflected.  :func:`validate_tables` gates
-everything downstream: it re-checks the counts, the one-replacement
-lemma behind gash propagation, label coverage, and uniqueness of
-completion from two known sides.
+Pieces may be rotated but never reflected.  :class:`PieceTables` owns
+the two tables and every table derived from them (lookup indices, gash
+classes, temporary-piece and scab tables, sliding gash sets, auras),
+each computed once per table value on first use.  :func:`validate_tables`
+gates everything downstream: it re-checks the counts, the
+one-replacement lemma behind gash propagation, label coverage,
+uniqueness of completion from two known sides, and the derived tables.
 
 >>> complete_triangle("up", left=1, right=0)
 (1, 0, 3)
@@ -33,10 +36,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from itertools import product
-from typing import Iterable, Optional
+from typing import Optional
+
+from .algebra import Tower, zeta_pow
 
 __all__ = [
     "LABELS",
@@ -44,16 +49,16 @@ __all__ = [
     "COMPOSED",
     "label_to_string",
     "dual_label",
+    "IN_UP",
+    "OUT_UP",
+    "IN_DOWN",
+    "OUT_DOWN",
     "PieceTables",
     "tables",
     "load_tables",
-    "save_tables",
     "default_table_text",
     "validate_tables",
     "complete_triangle",
-    "TrianglePiece",
-    "RhombusPiece",
-    "rotate_piece",
 ]
 
 LABELS = tuple(range(8))
@@ -88,6 +93,14 @@ _BASE_TRIANGLES = (
 )
 _BASE_RHOMBI = ((1, 0), (2, 1), (2, 0), (2, 3), (4, 0), (4, 3), (6, 0), (2, 7))
 
+# direction of a gash pointing into (IN) or out of (OUT) a cell through
+# side i; up cells list sides as (left, right, bottom), down cells as
+# (nw, ne, top).  Direction d makes the angle (2d + 1) * 30 degrees.
+IN_UP = (5, 3, 1)
+OUT_UP = (2, 0, 4)
+IN_DOWN = (0, 2, 4)
+OUT_DOWN = (3, 5, 1)
+
 
 def label_to_string(l: int) -> str:
     """The fixed 012-expansion of a label.
@@ -114,34 +127,41 @@ def _rot(t: tuple[int, int, int]) -> tuple[int, int, int]:
     return (h, l, r)
 
 
+Triple = tuple[int, int, int]
+AbstractGash = tuple[int, int, int]  # (direction d, original label, new label)
+
+
 @dataclass(frozen=True)
 class PieceTables:
-    """The canonical triangle and rhombus tables.
+    """The canonical triangle and rhombus tables and every table derived
+    from them.
 
     ``triangles`` holds the canonical (rotation-orbit representative)
     triples; ``up_triangles`` is the rotation closure, i.e. all valid
-    ``(left, right, horizontal)`` triples for a right-side-up cell.
+    ``(left, right, horizontal)`` triples for a right-side-up cell.  The
+    other derived tables are computed on first use and kept on the value.
     """
 
-    triangles: tuple[tuple[int, int, int], ...]
+    triangles: tuple[Triple, ...]
     rhombi: tuple[tuple[int, int], ...]
 
-    @property
-    def up_triangles(self) -> frozenset[tuple[int, int, int]]:
+    def __post_init__(self):
         closure = set()
         for t in self.triangles:
-            closure.add(t)
-            closure.add(_rot(t))
-            closure.add(_rot(_rot(t)))
-        return frozenset(closure)
+            closure.update((t, _rot(t), _rot(_rot(t))))
+        object.__setattr__(self, "_up", frozenset(closure))
+
+    @property
+    def up_triangles(self) -> frozenset[Triple]:
+        return self._up
 
     def valid_up(self, left: int, right: int, horizontal: int) -> bool:
-        return (left, right, horizontal) in self.up_triangles
+        return (left, right, horizontal) in self._up
 
     def valid_down(self, nw: int, ne: int, top: int) -> bool:
         # a 180-degree rotation of an upside-down cell: its NE side lands
         # where an up cell's left side is, its NW side on the right side
-        return (ne, nw, top) in self.up_triangles
+        return (ne, nw, top) in self._up
 
     def dual(self) -> "PieceTables":
         tris = tuple(
@@ -150,47 +170,195 @@ class PieceTables:
         rhos = tuple((dual_label(q), dual_label(p)) for (p, q) in self.rhombi)
         return PieceTables(tris, rhos)
 
+    # -- lookup indices ------------------------------------------------------
 
-# ---------------------------------------------------------------------------
-# Oriented piece values (plumbing for serialization and rotation tests)
+    @cached_property
+    def up_list(self) -> tuple[Triple, ...]:
+        """Valid up-cell triples ``(left, right, bottom)``, sorted."""
+        return tuple(sorted(self._up))
 
+    @cached_property
+    def down_list(self) -> tuple[Triple, ...]:
+        """Valid down-cell triples ``(nw, ne, top)``, sorted."""
+        return tuple(sorted((r, l, h) for (l, r, h) in self._up))
 
-@dataclass(frozen=True)
-class TrianglePiece:
-    """A triangle in its canonical frame plus a rotation in sixth-turns."""
+    @cached_property
+    def rhombi_by_q(self) -> dict[int, tuple[int, ...]]:
+        """The NW-SE labels ``p`` of the rhombi ``(p, q)``, by ``q``."""
+        out: dict[int, tuple[int, ...]] = {}
+        for p, q in sorted(self.rhombi):
+            out[q] = out.get(q, ()) + (p,)
+        return out
 
-    labels: tuple[int, int, int]  # (left, right, horizontal) at orientation 0
-    orientation: int = 0  # even = point-up, odd = point-down
+    # -- gash propagation ----------------------------------------------------
 
-    def __post_init__(self):
-        object.__setattr__(self, "orientation", self.orientation % 6)
+    @cached_property
+    def moves(self) -> frozenset[tuple[AbstractGash, AbstractGash]]:
+        """The symmetric "immediately reachable" relation on directed
+        gashes, computed by scanning all single-triangle propagation
+        templates."""
+        rel: set[tuple[AbstractGash, AbstractGash]] = set()
+        for triples, ins, outs in (
+            (self.up_list, IN_UP, OUT_UP),
+            (self.down_list, IN_DOWN, OUT_DOWN),
+        ):
+            for q in triples:
+                for s in range(3):
+                    for q2 in triples:
+                        if q2[s] == q[s]:
+                            continue
+                        agree = [i for i in range(3) if i != s and q[i] == q2[i]]
+                        if len(agree) != 1:
+                            continue
+                        s2 = 3 - s - agree[0]
+                        g = (ins[s], q[s], q2[s])
+                        h = (outs[s2], q[s2], q2[s2])
+                        rel.add((g, h))
+                        rel.add((h, g))
+        return frozenset(rel)
 
+    @cached_property
+    def gash_classes(self) -> dict[AbstractGash, frozenset[AbstractGash]]:
+        """Each directed gash mapped to its class: all gashes reachable
+        from it by propagations (one search per class)."""
+        adj: dict[AbstractGash, set[AbstractGash]] = {}
+        for a, b in self.moves:
+            adj.setdefault(a, set()).add(b)
+        out: dict[AbstractGash, frozenset[AbstractGash]] = {}
+        for g in product(range(6), LABELS, LABELS):
+            if g[1] == g[2] or g in out:
+                continue
+            seen = {g}
+            stack = [g]
+            while stack:
+                for h in adj.get(stack.pop(), ()):
+                    if h not in seen:
+                        seen.add(h)
+                        stack.append(h)
+            cls = frozenset(seen)
+            out.update(dict.fromkeys(cls, cls))
+        return out
 
-@dataclass(frozen=True)
-class RhombusPiece:
-    """A rhombus in its vertical frame plus a rotation in sixth-turns."""
+    @cached_property
+    def forward_gashes(self) -> frozenset[AbstractGash]:
+        """The union of the six gash classes whose members' resolutions
+        slide labels to the right: original label 1, 2, or 4 changing to
+        0, pointing north or northwest."""
+        return frozenset().union(
+            *(self.gash_classes[(d, orig, 0)] for d in (1, 2) for orig in (1, 2, 4))
+        )
 
-    labels: tuple[int, int]  # (NW-SE sides, SW-NE sides) at orientation 0
-    orientation: int = 0
+    @cached_property
+    def backward_gashes(self) -> frozenset[AbstractGash]:
+        """The forward gashes turned by 180 degrees."""
+        return frozenset(((d + 3) % 6, a, b) for d, a, b in self.forward_gashes)
 
-    def __post_init__(self):
-        object.__setattr__(self, "orientation", self.orientation % 6)
+    # -- flaws -----------------------------------------------------------------
 
+    @cached_property
+    def temporaries(self) -> dict[Triple, tuple[Triple, Triple, Triple]]:
+        """Map each temporary up-triangle ``(left, right, bottom)`` to its
+        three resolution pieces, indexed by the preserved side.  Raises
+        ValueError when a temporary piece has two sets of resolutions."""
+        valid, ups = self._up, self.up_list
+        out = {}
+        for t in product(LABELS, repeat=3):
+            if t in valid:
+                continue
+            found = [
+                (rA, rB, rC)
+                for rA in ups  # preserves side 0
+                if rA[0] == t[0]
+                for rB in ups  # preserves side 1
+                if rB[1] == t[1]
+                for rC in ups  # preserves side 2
+                if rC[2] == t[2]
+                and (rC[0], rA[1], rB[2]) in valid
+                and (rB[0], rC[1], rA[2]) in valid
+            ]
+            if len(found) > 1:
+                raise ValueError(f"temporary piece {t} has {len(found)} resolutions")
+            if found:
+                out[t] = found[0]
+        return out
 
-def rotate_piece(p, k: int):
-    """Advance a piece's orientation by ``k`` sixth-turns.
+    @cached_property
+    def down_temporaries(self) -> dict[Triple, tuple[Triple, Triple, Triple]]:
+        """Temporary down-triangles ``(nw, ne, top)`` with resolutions, by
+        180-degree rotation of the up table."""
 
-    >>> t = TrianglePiece((1, 0, 3))
-    >>> rotate_piece(rotate_piece(t, 3), 3) == t
-    True
-    >>> rotate_piece(RhombusPiece((2, 0)), 1).orientation
-    1
-    """
-    if isinstance(p, TrianglePiece):
-        return TrianglePiece(p.labels, p.orientation + k)
-    if isinstance(p, RhombusPiece):
-        return RhombusPiece(p.labels, p.orientation + k)
-    raise TypeError(f"not a piece: {p!r}")
+        def flip(t):
+            return (t[1], t[0], t[2])
+
+        return {
+            flip(t): (flip(rB), flip(rA), flip(rC))
+            for t, (rA, rB, rC) in self.temporaries.items()
+        }
+
+    @cached_property
+    def scabs(self) -> dict[tuple[int, int, int, int], tuple[str, tuple[int, int]]]:
+        """Map each scab ``(NW, NE, SE, SW)`` -- a vertical two-triangle
+        rhombus that is not 180-degree symmetric -- to its unique
+        resolution: ``("L", (p, q))`` when the equivariant piece agrees
+        on the NW/SW sides (gashes on NE and SE), ``("R", (p, q))`` when
+        it agrees on NE/SE (gashes on NW and SW).  Raises ValueError when
+        a scab has no resolution or two."""
+        ups = self.up_list
+        out = {}
+        for a, b, z in ups:  # up triangle: left a, right b, bottom z
+            for c, d in ((q3[1], q3[0]) for q3 in ups if q3[2] == z):
+                # down triangle below: nw c, ne d, top z
+                if (c, d) == (b, a):
+                    continue  # 180-degree symmetric: not a scab
+                s = (a, b, d, c)  # (NW, NE, SE, SW)
+                res = []
+                if (c, a) in self.rhombi:
+                    res.append(("L", (c, a)))
+                if (b, d) in self.rhombi:
+                    res.append(("R", (b, d)))
+                if len(res) != 1:
+                    raise ValueError(f"scab {s} has {len(res)} resolutions")
+                out[s] = res[0]
+        return out
+
+    # -- auras -----------------------------------------------------------------
+
+    @cached_property
+    def aura(self) -> dict[tuple[int, int], Tower]:
+        """Aura of every semi-labeled edge ``(direction d, label)``.
+
+        Simple labels are seeded directly; composed labels are solved
+        from pieces with a single unknown side until the table is
+        complete.  Raises ValueError unless the table is complete, every
+        piece's side auras sum to zero (so two pieces can never derive
+        different values), and the table is rotation-equivariant.
+        """
+        table = {
+            (d, a): Tower.delta(a) * Tower.zeta(2 * d + 1) for d in range(6) for a in SIMPLE
+        }
+        pieces = [(IN_UP, t) for t in self.up_list] + [(IN_DOWN, t) for t in self.down_list]
+        changed = True
+        while changed:
+            changed = False
+            for ins, t in pieces:
+                unknown = [i for i in range(3) if (ins[i], t[i]) not in table]
+                if len(unknown) == 1:
+                    i = unknown[0]
+                    total = Tower.zero()
+                    for k in range(3):
+                        if k != i:
+                            total = total + table[(ins[k], t[k])]
+                    table[(ins[i], t[i])] = -total
+                    changed = True
+        if set(table) != set(product(range(6), LABELS)):
+            raise ValueError(f"aura table is not complete: {len(table)} of 48 entries")
+        for ins, t in pieces:
+            if table[(ins[0], t[0])] + table[(ins[1], t[1])] + table[(ins[2], t[2])]:
+                raise ValueError(f"aura table is inconsistent at piece {t}")
+        for (d, a), v in table.items():
+            if table[((d + 1) % 6, a)] != v * zeta_pow(2):
+                raise ValueError(f"aura table is not rotation-equivariant at {(d, a)}")
+        return table
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +377,6 @@ def default_table_text() -> str:
     for r in _BASE_RHOMBI:
         lines.append("rhombus %d %d" % r)
     return "\n".join(lines) + "\n"
-
-
-def save_tables(path: str, t: Optional[PieceTables] = None) -> None:
-    if t is None:
-        text = default_table_text()
-    else:
-        lines = ["triangle %d %d %d" % tri for tri in t.triangles]
-        lines += ["rhombus %d %d" % r for r in t.rhombi]
-        text = "\n".join(lines) + "\n"
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
 
 
 def _parse_tables(text: str) -> PieceTables:
@@ -275,7 +432,10 @@ def validate_tables(t: Optional[PieceTables] = None) -> list[str]:
     (ii) the one-replacement lemma -- for labels with a != x, b != y,
     c != z, the triangles (x,b,c), (a,y,c), (a,b,z) are never all valid;
     (iii) every composed label appears on some triangle; (iv) completion
-    from two known sides never has two solutions.
+    from two known sides never has two solutions; (v) both tables are
+    closed under dualization.  Tables passing these must also derive
+    (vi) a unique resolution for every temporary piece and every scab,
+    and a complete, consistent, rotation-equivariant aura table.
 
     >>> validate_tables()
     []
@@ -331,11 +491,19 @@ def validate_tables(t: Optional[PieceTables] = None) -> list[str]:
             if cnt > 1:
                 out.append(f"two-side completion ambiguous on sides {(i, j)} = {key}")
 
-    # closure sanity: duals of valid pieces are valid
+    # (v) closure sanity: duals of valid pieces are valid
     if t.dual().up_triangles != up:
         out.append("triangle table not closed under dualization")
     if set(t.dual().rhombi) != set(t.rhombi):
         out.append("rhombus table not closed under dualization")
+
+    # (vi) the derived tables, which presuppose (i)-(v); building one
+    # raises ValueError on a violation
+    if not out:
+        try:
+            t.temporaries, t.scabs, t.aura
+        except ValueError as e:
+            out.append(str(e))
     return out
 
 
@@ -357,20 +525,15 @@ def complete_triangle(orientation: str, **sides: int):
     if len(sides) != 2:
         raise ValueError("exactly two sides must be given")
     t = tables()
-    solutions = []
     if orientation == "up":
-        for l, r, h in t.up_triangles:
-            vals = {"left": l, "right": r, "horizontal": h}
-            if all(vals[k] == v for k, v in sides.items()):
-                solutions.append((l, r, h))
+        names, triples = ("left", "right", "horizontal"), t.up_list
     else:
-        for nw, ne, top in (
-            (l2, r2, h2)
-            for (r2, l2, h2) in t.up_triangles  # valid_down(nw,ne,top) iff up(ne,nw,top)
-        ):
-            vals = {"nw": nw, "ne": ne, "top": top}
-            if all(vals[k] == v for k, v in sides.items()):
-                solutions.append((nw, ne, top))
+        names, triples = ("nw", "ne", "top"), t.down_list
+    solutions = []
+    for tri in triples:
+        vals = dict(zip(names, tri))
+        if all(vals[k] == v for k, v in sides.items()):
+            solutions.append(tri)
     if len(solutions) > 1:
         raise AssertionError(f"ambiguous completion: {solutions}")
     return solutions[0] if solutions else None

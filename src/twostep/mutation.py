@@ -15,7 +15,8 @@ rhombus is still a valid piece), and across a triangle there is at most
 one valid replacement piece (so at most one move).  The classes of the
 reachability relation, the temporary-piece table, and the scab table
 are all *computed* from the triangle/rhombus tables rather than
-transcribed.
+transcribed; :class:`~.labels.PieceTables` derives and keeps them, and
+the functions here read them from the current ``tables()`` value.
 
 A *flawed puzzle* carries exactly one flaw: a gash pair on a border
 segment, a temporary piece, or a marked scab.  Replacing the flaw by
@@ -40,7 +41,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterator, Optional
 
 from .board import (
@@ -54,7 +54,7 @@ from .board import (
     rhombus_outer_edges,
     up_cell_edges,
 )
-from .labels import complete_triangle, tables
+from .labels import OUT_DOWN, OUT_UP, AbstractGash, complete_triangle, tables
 from .search import enumerate_one_special, enumerate_puzzles
 from .strings import String012, covers, cocovers
 
@@ -69,13 +69,11 @@ __all__ = [
     "gash_class",
     "opposite",
     "rotate_gash",
-    "is_opposite_class",
     "singleton_gashes",
     "temporary_table",
     "down_temporary_table",
     "scab_table",
     "scab_positions",
-    "propagate_step",
     "propagate_full",
     "phi",
     "recognize_flaw",
@@ -94,15 +92,6 @@ __all__ = [
     "flawed_from_json",
     "dual_flawed",
 ]
-
-AbstractGash = tuple[int, int, int]  # (direction d, original label, new label)
-
-# side order within a cell: up = (left, right, bottom); down = (nw, ne, top)
-_IN_UP = (5, 3, 1)  # gash direction pointing into an up cell through side i
-_OUT_UP = (2, 0, 4)
-_IN_DOWN = (0, 2, 4)
-_OUT_DOWN = (3, 5, 1)
-
 
 @dataclass(frozen=True, order=True)
 class PlacedGash:
@@ -152,13 +141,6 @@ def cell_sides(cell: tuple[str, int, int]) -> tuple[Edge, Edge, Edge]:
     return up_cell_edges(x, yy) if kind == "U" else down_cell_edges(x, yy)
 
 
-def _valid_triples(kind: str) -> list[tuple[int, int, int]]:
-    ups = sorted(tables().up_triangles)
-    if kind == "U":
-        return ups
-    return sorted((r, l, h) for (l, r, h) in ups)
-
-
 # ---------------------------------------------------------------------------
 # Abstract gashes and their classes
 
@@ -167,47 +149,6 @@ def all_directed_gashes() -> list[AbstractGash]:
     return [
         (d, a, b) for d in range(6) for a in range(8) for b in range(8) if a != b
     ]
-
-
-@lru_cache(maxsize=None)
-def immediate_moves() -> frozenset[tuple[AbstractGash, AbstractGash]]:
-    """The symmetric "immediately reachable" relation, computed by
-    scanning all single-triangle propagation templates."""
-    rel: set[tuple[AbstractGash, AbstractGash]] = set()
-    for kind, ins, outs in (("U", _IN_UP, _OUT_UP), ("D", _IN_DOWN, _OUT_DOWN)):
-        triples = _valid_triples(kind)
-        for q in triples:
-            for s in range(3):
-                for q2 in triples:
-                    if q2[s] == q[s]:
-                        continue
-                    agree = [i for i in range(3) if i != s and q[i] == q2[i]]
-                    if len(agree) != 1:
-                        continue
-                    s2 = ({0, 1, 2} - {s, agree[0]}).pop()
-                    g = (ins[s], q[s], q2[s])
-                    h = (outs[s2], q[s2], q2[s2])
-                    rel.add((g, h))
-                    rel.add((h, g))
-    assert all((h, g) in rel for (g, h) in rel)
-    return frozenset(rel)
-
-
-@lru_cache(maxsize=None)
-def gash_class(g: AbstractGash) -> frozenset[AbstractGash]:
-    """All directed gashes reachable from ``g`` by propagations."""
-    adj: dict[AbstractGash, set[AbstractGash]] = {}
-    for a, b in immediate_moves():
-        adj.setdefault(a, set()).add(b)
-    seen = {g}
-    stack = [g]
-    while stack:
-        x = stack.pop()
-        for y in adj.get(x, ()):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return frozenset(seen)
 
 
 def opposite(g: AbstractGash) -> AbstractGash:
@@ -226,95 +167,50 @@ def rotate_gash(g: AbstractGash, k: int) -> AbstractGash:
     return ((d + k) % 6, a, b)
 
 
-def is_opposite_class(g: AbstractGash, h: AbstractGash) -> bool:
-    return gash_class(opposite(g)) == gash_class(h)
-
-
 def singleton_gashes() -> list[AbstractGash]:
     return [g for g in all_directed_gashes() if gash_class(g) == {g}]
 
 
 # ---------------------------------------------------------------------------
-# Temporary pieces (computed per the existence-of-replacements criterion)
+# Derived tables, read from the current ``tables()`` value
 
 
-@lru_cache(maxsize=None)
-def temporary_table() -> dict[
-    tuple[int, int, int], tuple[tuple[int, int, int], ...]
-]:
-    """Map each temporary up-triangle ``(left, right, bottom)`` to its
-    three resolution pieces, indexed by the preserved side."""
-    valid = _valid_triples("U")
-    out = {}
-    for l in range(8):
-        for r in range(8):
-            for h in range(8):
-                t = (l, r, h)
-                if t in valid:
-                    continue
-                found = []
-                for rA in valid:  # preserves side 0
-                    if rA[0] != t[0]:
-                        continue
-                    for rB in valid:  # preserves side 1
-                        if rB[1] != t[1]:
-                            continue
-                        for rC in valid:  # preserves side 2
-                            if rC[2] != t[2]:
-                                continue
-                            t1 = (rC[0], rA[1], rB[2])
-                            t2 = (rB[0], rC[1], rA[2])
-                            if t1 in valid and t2 in valid:
-                                found.append((rA, rB, rC))
-                if found:
-                    assert len(found) == 1, (t, found)
-                    out[t] = found[0]
-    return out
+def immediate_moves() -> frozenset[tuple[AbstractGash, AbstractGash]]:
+    """The symmetric "immediately reachable" relation on directed gashes."""
+    return tables().moves
 
 
-@lru_cache(maxsize=None)
-def down_temporary_table() -> dict[
-    tuple[int, int, int], tuple[tuple[int, int, int], ...]
-]:
-    """Temporary down-triangles ``(nw, ne, top)`` with resolutions, by
-    180-degree rotation of the up table."""
+def gash_class(g: AbstractGash) -> frozenset[AbstractGash]:
+    """All directed gashes reachable from ``g`` by propagations."""
+    return tables().gash_classes[g]
 
-    def flip(t):
-        return (t[1], t[0], t[2])
 
-    return {
-        flip(t): (flip(rB), flip(rA), flip(rC))
-        for t, (rA, rB, rC) in temporary_table().items()
-    }
+def temporary_table() -> dict:
+    """Temporary up-triangles ``(left, right, bottom)`` -> resolutions."""
+    return tables().temporaries
+
+
+def down_temporary_table() -> dict:
+    """Temporary down-triangles ``(nw, ne, top)`` -> resolutions."""
+    return tables().down_temporaries
+
+
+def scab_table() -> dict:
+    """Scabs ``(NW, NE, SE, SW)`` -> their unique resolution."""
+    return tables().scabs
+
+
+def forward_gashes() -> frozenset[AbstractGash]:
+    """The gashes whose resolutions slide labels to the right."""
+    return tables().forward_gashes
+
+
+def backward_gashes() -> frozenset[AbstractGash]:
+    return tables().backward_gashes
 
 
 # ---------------------------------------------------------------------------
 # Scabs (vertical two-triangle rhombi that are not 180-degree symmetric)
-
-
-@lru_cache(maxsize=None)
-def scab_table() -> dict[tuple[int, int, int, int], tuple[str, tuple[int, int]]]:
-    """Map each scab ``(NW, NE, SE, SW)`` to its unique resolution:
-    ``("L", (p, q))`` when the equivariant piece agrees on the NW/SW
-    sides (gashes on NE and SE), ``("R", (p, q))`` when it agrees on
-    NE/SE (gashes on NW and SW)."""
-    t = tables()
-    ups = _valid_triples("U")
-    out = {}
-    for a, b, z in ups:  # up triangle: left a, right b, bottom z
-        for c, d in ((q3[1], q3[0]) for q3 in ups if q3[2] == z):
-            # down triangle below: nw c, ne d, top z
-            if (c, d) == (b, a):
-                continue  # 180-degree symmetric: not a scab
-            s = (a, b, d, c)  # (NW, NE, SE, SW)
-            res = []
-            if (c, a) in t.rhombi:
-                res.append(("L", (c, a)))
-            if (b, d) in t.rhombi:
-                res.append(("R", (b, d)))
-            assert len(res) == 1, (s, res)
-            out[s] = res[0]
-    return out
 
 
 def scab_positions(P: Puzzle) -> list[tuple[int, int]]:
@@ -383,12 +279,6 @@ class GashedPuzzle:
                 return r
         return None
 
-    def side_label(self, cell: tuple[str, int, int], edge: Edge) -> int:
-        for g in self.gashes:
-            if g.edge == edge:
-                return g.orig if cell_ahead(edge, g.d, self.n) == cell else g.new
-        return self.labels[edge]
-
 
 class FlawRecognitionError(Exception):
     """The two stuck gashes do not form a recognizable flaw (this would
@@ -433,7 +323,7 @@ def _step(G: GashedPuzzle, g: PlacedGash):
     q = tuple(
         g.orig if i == s else G.labels[edges[i]] for i in range(3)
     )
-    triples = _valid_triples(cell[0])
+    triples = t.up_list if cell[0] == "U" else t.down_list
     assert q[s] == g.orig
     cands = []
     for q2 in triples:
@@ -447,29 +337,13 @@ def _step(G: GashedPuzzle, g: PlacedGash):
     assert len(cands) == 1, (q, g, cands)
     q2, s1 = cands[0]
     s2 = ({0, 1, 2} - {s, s1}).pop()
-    outs = _OUT_UP if cell[0] == "U" else _OUT_DOWN
+    outs = OUT_UP if cell[0] == "U" else OUT_DOWN
     labels = dict(G.labels)
     labels[g.edge] = g.new
     del labels[edges[s2]]
     ng = PlacedGash(edges[s2], outs[s2], q[s2], q2[s2])
     gashes = (G.gashes - {g}) | {ng}
     return GashedPuzzle(G.n, labels, G.rhombi, frozenset(gashes)), ng
-
-
-def propagate_step(
-    G: GashedPuzzle, g: PlacedGash
-) -> Optional[tuple[GashedPuzzle, PlacedGash]]:
-    """Propagate one step; None when the gash is stuck.  Raises
-    ValueError for ill-formed requests (gash not present, or another
-    gash on the target piece)."""
-    if g not in G.gashes:
-        raise ValueError(f"gash {g} is not in this gashed puzzle")
-    res = _step(G, g)
-    if res == "stuck":
-        return None
-    if res == "blocked":
-        raise ValueError("another gash lies on the sides of the target piece")
-    return res
 
 
 def propagate_full(
@@ -634,7 +508,7 @@ class FlawedPuzzle:
             edges = cell_sides(cell)
             t = tuple(self.labels[e] for e in edges)
             table = temporary_table() if kind == "U" else down_temporary_table()
-            outs = _OUT_UP if kind == "U" else _OUT_DOWN
+            outs = OUT_UP if kind == "U" else OUT_DOWN
             res = []
             for k in range(3):
                 r = table[t][k]
@@ -849,23 +723,6 @@ def right_gash(G: GashedPuzzle) -> PlacedGash:
     cross = f[0] * rel[1] - f[1] * rel[0]
     assert abs(cross) > 1e-9, "gash positions are collinear with the direction"
     return g1 if cross < 0 else g2
-
-
-@lru_cache(maxsize=None)
-def forward_gashes() -> frozenset[AbstractGash]:
-    """The union of the six gash classes whose members' resolutions
-    slide labels to the right: original label 1, 2, or 4 changing to 0,
-    pointing north or northwest."""
-    out = set()
-    for d in (1, 2):
-        for orig in (1, 2, 4):
-            out |= gash_class((d, orig, 0))
-    return frozenset(out)
-
-
-@lru_cache(maxsize=None)
-def backward_gashes() -> frozenset[AbstractGash]:
-    return frozenset(rotate_gash(g, 3) for g in forward_gashes())
 
 
 def _arrow_resolutions(P: FlawedPuzzle, pool: frozenset) -> list[GashedPuzzle]:

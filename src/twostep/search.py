@@ -93,12 +93,9 @@ def _enumerate(
     if not (content(u) == content(v) == content(w)):
         return
     t = tables()
-    up_list = sorted(t.up_triangles)
+    up_list, down_list, rhombi_by_q = t.up_list, t.down_list, t.rhombi_by_q
     sp_up = sorted(special_up or ())
     sp_down = sorted(special_down or ())
-    rhombi_by_q: dict[int, list[int]] = {}
-    for p, q in sorted(t.rhombi):
-        rhombi_by_q.setdefault(q, []).append(p)
 
     labels: dict[Edge, int] = {}
     for i in range(1, n + 1):
@@ -136,10 +133,9 @@ def _enumerate(
                 return
             nw_e, ne_e, top_e = down_cell_edges(x, yy)
             nw, top = labels[nw_e], labels[top_e]
-            for l, r, h in up_list:
-                # valid down (nw, ne, top) <=> (ne, nw, top) is a valid up
-                if r == nw and h == top:
-                    placed = set_edges([(ne_e, l)])
+            for dnw, dne, dtop in down_list:
+                if dnw == nw and dtop == top:
+                    placed = set_edges([(ne_e, dne)])
                     if placed is not None:
                         yield from solve(idx + 1)
                         for d in placed:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .algebra import Tower, YPoly, exact_divide, y
 
@@ -31,6 +31,7 @@ __all__ = [
     "content",
     "identity_string",
     "all_strings",
+    "contents_up_to",
     "length",
     "CoverEdge",
     "covers",
@@ -38,7 +39,6 @@ __all__ = [
     "bruhat_leq",
     "c_form",
     "c_form_specialized",
-    "delta_value",
     "extreme_constant",
     "oracle_constant",
     "chevalley",
@@ -100,6 +100,19 @@ def all_strings(a: int, b: int, n: int) -> list[String012]:
     """All 012-strings of type (a, b, n), sorted lexicographically."""
     base = identity_string(a, b, n)
     return sorted(set(permutations(base)))
+
+
+def contents_up_to(max_n: int) -> Iterator[tuple[int, int, int]]:
+    """All contents ``(a, b, n)`` with ``0 < a <= b < n`` and
+    ``2 <= n <= max_n``.
+
+    >>> list(contents_up_to(3))
+    [(1, 1, 2), (1, 1, 3), (1, 2, 3), (2, 2, 3)]
+    """
+    for n in range(2, max_n + 1):
+        for b in range(1, n):
+            for a in range(1, b + 1):
+                yield (a, b, n)
 
 
 def length(u: String012) -> int:
@@ -247,11 +260,6 @@ def c_form_specialized(
     for i, letter in enumerate(u, start=1):
         out = out + spec[letter] * y(i)
     return out
-
-
-def delta_value(letters: tuple[int, int], spec: tuple[int, int, int] = DELTA_SPEC) -> int:
-    s, t = letters
-    return spec[s] - spec[t]
 
 
 def extreme_constant(w: String012) -> YPoly:

@@ -5,14 +5,6 @@ import itertools
 from twostep.strings import all_strings
 
 
-def contents_up_to(max_n):
-    """All letter contents (a, b, n) with 2 <= n <= max_n."""
-    for n in range(2, max_n + 1):
-        for b in range(1, n):
-            for a in range(1, b + 1):
-                yield a, b, n
-
-
 def all_triples(a, b, n):
     """All (u, v, w) boundary triples of one content."""
     return itertools.product(all_strings(a, b, n), repeat=3)

@@ -10,7 +10,7 @@ import itertools
 import time
 from collections import Counter
 
-from conftest import all_triples, contents_up_to
+from conftest import all_triples
 
 from twostep.algebra import YPoly, is_graham_positive, y
 from twostep.aura import (
@@ -45,6 +45,7 @@ from twostep.mutation import (
 from twostep.search import count_puzzles, enumerate_puzzles, product_expansion
 from twostep.strings import (
     all_strings,
+    contents_up_to,
     extreme_constant,
     fmt,
     oracle_constant,

@@ -75,13 +75,55 @@ def test_table_path_override(monkeypatch, tmp_path):
     assert validate_tables(tables()) == []
 
 
-def test_corrupt_table_rejected(monkeypatch, tmp_path):
+@pytest.mark.parametrize(
+    "old, new, problem",
+    [
+        pytest.param("triangle 1 0 3", "triangle 0 1 3", "invalid piece tables", id="triangle"),
+        # passes the structural checks but leaves a scab unresolved
+        pytest.param(
+            "rhombus 4 3", "rhombus 5 5", r"scab \(1, 4, 3, 6\) has 0 resolutions", id="scab"
+        ),
+    ],
+)
+def test_corrupt_table_rejected(monkeypatch, tmp_path, old, new, problem):
     import twostep.labels as labels
 
     bad = tmp_path / "bad_tables.txt"
-    bad.write_text(
-        labels.default_table_text().replace("triangle 1 0 3", "triangle 0 1 3")
-    )
+    bad.write_text(labels.default_table_text().replace(old, new))
     monkeypatch.setenv("PUZZLE_TABLE_PATH", str(bad))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=problem):
         tables()
+
+
+def _derived_tables():
+    """Each public accessor of a derived table, with the attribute of
+    ``tables()`` it must return."""
+    from twostep import aura, mutation
+
+    g = (1, 1, 0)
+    return [
+        (mutation.immediate_moves, lambda t: t.moves),
+        (lambda: mutation.gash_class(g), lambda t: t.gash_classes[g]),
+        (mutation.temporary_table, lambda t: t.temporaries),
+        (mutation.down_temporary_table, lambda t: t.down_temporaries),
+        (mutation.scab_table, lambda t: t.scabs),
+        (mutation.forward_gashes, lambda t: t.forward_gashes),
+        (mutation.backward_gashes, lambda t: t.backward_gashes),
+        (aura.aura_table, lambda t: t.aura),
+    ]
+
+
+def test_derived_tables_have_one_owner(monkeypatch, tmp_path):
+    import twostep.labels as labels
+
+    old = tables()
+    for accessor, attr in _derived_tables():
+        assert accessor() is attr(old)
+    copy = tmp_path / "tables.txt"
+    copy.write_text(labels.default_table_text())
+    monkeypatch.setenv("PUZZLE_TABLE_PATH", str(copy))
+    new = tables()
+    assert new is not old
+    for accessor, attr in _derived_tables():
+        assert accessor() is attr(new)
+        assert accessor() is not attr(old)
