@@ -165,12 +165,12 @@ def equivariant_flawed_aura(P: FlawedPuzzle) -> Tower:
     if P.flaw_type != "scab":
         raise ValueError("equivariant aura is defined for marked-scab flaws")
     x, yy = P.flaw[1]
-    return scab_equivariant_aura(P.base_puzzle(), x, yy)
+    return scab_equivariant_aura(P.base, x, yy)
 
 
 def _scab_weight(P: FlawedPuzzle) -> YPoly:
     x, yy = P.flaw[1]
-    i, j = rhombus_position(x, yy, P.n)
+    i, j = rhombus_position(x, yy, P.base.n)
     return y(j) - y(i)
 
 
@@ -301,9 +301,9 @@ def check_two_sums(u: String012, v: String012, w: String012) -> dict:
     rhs = Tower.zero()
     for P in enumerate_flawed(u, v, w):
         if P.flaw_type == "scab":
-            lhs = lhs + equivariant_flawed_aura(P) * Tower.from_ypoly(P.weight())
+            lhs = lhs + equivariant_flawed_aura(P) * Tower.from_ypoly(P.base.weight())
         elif P.flaw_type == "gashpair":
-            rhs = rhs + flawed_aura(P) * Tower.from_ypoly(P.weight())
+            rhs = rhs + flawed_aura(P) * Tower.from_ypoly(P.base.weight())
     inst = f"flawed puzzles with boundary ({fmt(u)}, {fmt(v)}, {fmt(w)})"
     return _report("two weighted sums", inst, lhs, rhs)
 

@@ -45,6 +45,7 @@ from .algebra import YPoly, y
 from .labels import SIMPLE, dual_label, tables
 
 __all__ = [
+    "InvariantViolation",
     "Edge",
     "Rhombus",
     "Puzzle",
@@ -155,18 +156,26 @@ def rhombus_position(x: int, yy: int, n: int) -> tuple[int, int]:
     return (x + 1, n - yy + x)
 
 
+class InvariantViolation(RuntimeError):
+    """A library invariant does not hold: a bug, or piece tables that
+    break an assumption of the mutation theory."""
+
+
 @dataclass(frozen=True)
 class Puzzle:
     """A puzzle on the size-``n`` triangle.
 
     ``labels`` maps edges to labels (edges interior to a rhombus are
-    omitted); ``rhombi`` is the set of rhombus occurrences.
+    omitted); ``rhombi`` is the set of rhombus occurrences.  ``key``
+    (size, sorted labels, sorted rhombi) is the puzzle's identity:
+    equality and hashing compare it alone, here and in the gashed and
+    flawed puzzles built on a ``Puzzle``.
     """
 
-    n: int
+    n: int = field(compare=False)
     labels: dict[Edge, int] = field(compare=False)
-    rhombi: frozenset[Rhombus] = frozenset()
-    _key: tuple = field(init=False, repr=False, compare=False)
+    rhombi: frozenset[Rhombus] = field(default=frozenset(), compare=False)
+    key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         labels = dict(self.labels)
@@ -174,13 +183,7 @@ class Puzzle:
             labels.pop(rhombus_inner_edge(r), None)
         object.__setattr__(self, "labels", labels)
         key = (self.n, tuple(sorted(labels.items())), tuple(sorted(self.rhombi)))
-        object.__setattr__(self, "_key", key)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Puzzle) and self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
+        object.__setattr__(self, "key", key)
 
     # -- structure ---------------------------------------------------------
 
@@ -192,6 +195,14 @@ class Puzzle:
             ups.add(u)
             downs.add(d)
         return ups, downs
+
+    def rhombus_at(self, cell: tuple[str, int, int]) -> Rhombus | None:
+        """The rhombus covering ``cell`` (``("U"|"D", x, y)``), if any."""
+        for r in self.rhombi:
+            up, down = rhombus_cells(r)
+            if cell == ("U",) + up or cell == ("D",) + down:
+                return r
+        return None
 
     def internal_edges(self) -> set[Edge]:
         return {rhombus_inner_edge(r) for r in self.rhombi}
@@ -211,6 +222,10 @@ class Puzzle:
         ups, downs = self.covered_cells()
         if len(ups) + len(downs) != 2 * len(self.rhombi):
             out.append("overlapping rhombi")
+        for r in sorted(self.rhombi):
+            up, down = rhombus_cells(r)
+            if not (0 <= up[0] <= up[1] < n and 0 <= down[0] < down[1] < n):
+                out.append(f"rhombus {r} leaves the board")
         internal = self.internal_edges()
         for e in all_edges(n):
             if e not in self.labels and e not in internal:
@@ -218,11 +233,6 @@ class Puzzle:
         if out:
             return out
         for r in sorted(self.rhombi):
-            x, yy, o = r
-            (up, down) = rhombus_cells(r)
-            if not (0 <= up[0] <= up[1] < n and 0 <= down[0] < down[1] < n):
-                out.append(f"rhombus {r} leaves the board")
-                continue
             p_pair, q_pair = rhombus_outer_edges(r)
             p0, p1 = (self.labels[e] for e in p_pair)
             q0, q1 = (self.labels[e] for e in q_pair)
@@ -379,12 +389,16 @@ def puzzle_from_json(text: str) -> Puzzle:
     if len(region) != 6 or len(nonzero) != 3 or len(set(nonzero)) != 1:
         raise ValueError("only triangular regions are supported")
     n = nonzero[0]
+    if type(n) is not int:
+        raise ValueError(f"region side {n!r} is not an integer")
     labels: dict[Edge, int] = {}
     rhombi: set[Rhombus] = set()
     for piece in data["pieces"]:
         x, yy = piece["anchor"]
         kind = piece["kind"]
         lab = piece["labels"]
+        if not all(type(k) is int for k in (x, yy, *lab)):
+            raise ValueError(f"non-integer anchor or label in {piece!r}")
         orient = piece.get("orientation", 0) % 6
         if kind == "rhombus":
             if orient % 2:

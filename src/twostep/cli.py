@@ -137,14 +137,22 @@ def _cmd_mutate(args) -> int:
         mutation_component,
     )
 
+    if args.steps < 0:
+        raise InputError(f"--steps must be at least 0, not {args.steps}")
+    try:
+        choices = [int(c) for c in args.choices.split(",")] if args.choices else []
+    except ValueError as e:
+        raise InputError(f"bad --choices {args.choices!r}: {e}")
+    if any(c < 0 for c in choices):
+        raise InputError(f"--choices must be at least 0: {args.choices!r}")
     try:
         with open(args.puzzle, encoding="utf-8") as f:
             base = puzzle_from_json(f.read())
     except OSError as e:
         raise InputError(str(e))
-    except (ValueError, KeyError) as e:
+    except (ValueError, KeyError, TypeError) as e:
         raise InputError(f"bad puzzle JSON: {e}")
-    P = FlawedPuzzle(base.n, dict(base.labels), base.rhombi, _parse_flaw(args.flaw))
+    P = FlawedPuzzle(base, _parse_flaw(args.flaw))
     problems = P.validate()
     if problems:
         raise SemanticError("; ".join(problems))
@@ -152,9 +160,14 @@ def _cmd_mutate(args) -> int:
         graph = mutation_component(P)
         print(component_to_dot(graph) if args.format == "dot" else component_to_json(graph))
         return 0
-    choices = [int(c) for c in args.choices.split(",")] if args.choices else []
     for k in range(args.steps):
         choice = choices[k] if k < len(choices) else 0
+        count = len(P.resolutions())
+        if choice >= count:
+            raise SemanticError(
+                f"step {k + 1}: choice {choice} is out of range; "
+                f"a {P.flaw_type} flaw has {count} resolution(s)"
+            )
         P = mutate(P, choice)
         print(flawed_to_json(P))
     return 0
@@ -350,6 +363,8 @@ _SUITES = {
 
 
 def _cmd_verify(args) -> int:
+    if args.max_n < 2:
+        raise InputError(f"--max-n must be at least 2, not {args.max_n}")
     reports = _SUITES[args.suite](args.max_n)
     ok = all(r["pass"] for r in reports)
     print(json.dumps({"suite": args.suite, "pass": ok, "checks": reports}, indent=2))

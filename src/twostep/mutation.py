@@ -18,14 +18,16 @@ are all *computed* from the triangle/rhombus tables rather than
 transcribed; :class:`~.labels.PieceTables` derives and keeps them, and
 the functions here read them from the current ``tables()`` value.
 
-A *flawed puzzle* carries exactly one flaw: a gash pair on a border
-segment, a temporary piece, or a marked scab.  Replacing the flaw by
-two directed gashes gives its *resolutions*; ``phi`` propagates both
-gashes to their fixed points and reverses them, which is an involution
-whose value is a resolution of a unique other (or the same) flawed
-puzzle.  ``mutate`` composes these steps, ``mutation_component``
-explores the resulting trivalent graph, and ``psi``/``psi_infinity``
-implement the left-to-right sliding bijection.
+A *gashed puzzle* is a :class:`~.board.Puzzle` plus two directed
+gashes, and a *flawed puzzle* is a ``Puzzle`` plus exactly one flaw: a
+gash pair on a border segment, a temporary piece, or a marked scab.
+The ``Puzzle`` holds the labels and rhombi and decides identity.
+Replacing the flaw by two directed gashes gives its *resolutions*;
+``phi`` propagates both gashes to their fixed points and reverses them,
+which is an involution whose value is a resolution of a unique other
+(or the same) flawed puzzle.  ``mutate`` composes these steps,
+``mutation_component`` explores the resulting trivalent graph, and
+``psi``/``psi_infinity`` implement the left-to-right sliding bijection.
 
 >>> g = (1, 1, 0)
 >>> sorted(gash_class(g))
@@ -39,24 +41,22 @@ implement the left-to-right sliding bijection.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .board import (
     Edge,
+    InvariantViolation,
     Puzzle,
     down_cell_edges,
     puzzle_from_json,
     puzzle_to_json,
-    rhombus_cells,
-    rhombus_inner_edge,
     rhombus_outer_edges,
     up_cell_edges,
 )
-from .labels import OUT_DOWN, OUT_UP, AbstractGash, complete_triangle, tables
+from .labels import OUT_DOWN, OUT_UP, SIMPLE, AbstractGash, complete_triangle, tables
 from .search import enumerate_one_special, enumerate_puzzles
-from .strings import String012, covers, cocovers
+from .strings import String012, covers, cocovers, fmt
 
 __all__ = [
     "AbstractGash",
@@ -124,12 +124,14 @@ def cell_ahead(edge: Edge, d: int, n: int) -> Optional[tuple[str, int, int]]:
         cell = None
     if cell is None:
         raise ValueError(f"direction {d} is not perpendicular to edge {edge}")
-    _, cx, cy = cell
-    if cell[0] == "U" and 0 <= cx <= cy <= n - 1:
-        return cell
-    if cell[0] == "D" and 1 <= cy <= n - 1 and 0 <= cx <= cy - 1:
-        return cell
-    return None
+    return cell if _on_board(cell, n) else None
+
+
+def _on_board(cell: tuple[str, int, int], n: int) -> bool:
+    kind, x, yy = cell
+    if kind == "U":
+        return 0 <= x <= yy <= n - 1
+    return kind == "D" and 0 <= x < yy <= n - 1
 
 
 def cell_behind(edge: Edge, d: int, n: int) -> Optional[tuple[str, int, int]]:
@@ -228,14 +230,15 @@ def scab_positions(P: Puzzle) -> list[tuple[int, int]]:
     return out
 
 
+def _scab_edges(x: int, yy: int) -> tuple[Edge, Edge, Edge, Edge]:
+    """(NW, NE, SE, SW) sides of the triangle pair U(x,y), D(x,y+1)."""
+    return (("A", x, yy), ("B", x, yy), ("A", x + 1, yy + 1), ("B", x, yy + 1))
+
+
 def _scab_at(labels: dict, x: int, yy: int) -> tuple[int, int, int, int]:
     """(NW, NE, SE, SW) labels of the triangle pair U(x,y), D(x,y+1)."""
-    return (
-        labels[("A", x, yy)],
-        labels[("B", x, yy)],
-        labels[("A", x + 1, yy + 1)],
-        labels[("B", x, yy + 1)],
-    )
+    nw, ne, se, sw = _scab_edges(x, yy)
+    return (labels[nw], labels[ne], labels[se], labels[sw])
 
 
 # ---------------------------------------------------------------------------
@@ -244,113 +247,83 @@ def _scab_at(labels: dict, x: int, yy: int) -> tuple[int, int, int, int]:
 
 @dataclass(frozen=True)
 class GashedPuzzle:
-    """A tiling whose labels match everywhere except at gash edges.
+    """A :class:`~.board.Puzzle` plus two directed gashes: a resolution
+    of a flaw, or a state of its propagation.
 
-    ``labels`` omits gash edges and rhombus-interior edges; each gash
-    carries both side labels (the piece it points at contributes the
-    original label, the piece behind it the new label).
+    ``base.labels`` omits the gash edges; each gash carries both side
+    labels (the piece it points at contributes the original label, the
+    piece behind it the new label).
     """
 
-    n: int
-    labels: dict[Edge, int] = field(compare=False)
-    rhombi: frozenset = frozenset()
-    gashes: frozenset = frozenset()
-    _key: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        key = (
-            self.n,
-            tuple(sorted(self.labels.items())),
-            tuple(sorted(self.rhombi)),
-            tuple(sorted(self.gashes)),
-        )
-        object.__setattr__(self, "_key", key)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GashedPuzzle) and self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    def rhombus_at(self, cell: tuple[str, int, int]):
-        for r in self.rhombi:
-            up, down = rhombus_cells(r)
-            if cell == ("U",) + up or cell == ("D",) + down:
-                return r
-        return None
+    base: Puzzle
+    gashes: frozenset
 
 
 class FlawRecognitionError(Exception):
     """The two stuck gashes do not form a recognizable flaw (this would
-    contradict the uniqueness theorem for mutations)."""
+    contradict the uniqueness theorem for mutations), or a gash-pair
+    flaw's border strings do not form a Bruhat cover."""
 
 
 def _step(G: GashedPuzzle, g: PlacedGash):
     """One propagation. Returns (new GashedPuzzle, new PlacedGash),
     "stuck", or "blocked" (another gash on the target piece)."""
-    cell = cell_ahead(g.edge, g.d, G.n)
+    B = G.base
+    cell = cell_ahead(g.edge, g.d, B.n)
     if cell is None:
         return "stuck"
     t = tables()
     other_edges = {h.edge for h in G.gashes if h != g}
-    r0 = G.rhombus_at(cell)
+    r0 = B.rhombus_at(cell)
     if r0 is not None:
         p_pair, q_pair = rhombus_outer_edges(r0)
         if other_edges & (set(p_pair) | set(q_pair)):
             return "blocked"
         # read each pair's label from its non-gashed member
-        p = G.labels[p_pair[1] if p_pair[0] == g.edge else p_pair[0]]
-        q = G.labels[q_pair[1] if q_pair[0] == g.edge else q_pair[0]]
+        p = B.labels[p_pair[1] if p_pair[0] == g.edge else p_pair[0]]
+        q = B.labels[q_pair[1] if q_pair[0] == g.edge else q_pair[0]]
         if g.edge in p_pair:
-            assert g.orig == p, (g, p, q)
-            newpq, pair = (g.new, q), p_pair
+            orig, newpq, pair = p, (g.new, q), p_pair
         else:
-            assert g.orig == q, (g, p, q)
-            newpq, pair = (p, g.new), q_pair
+            orig, newpq, pair = q, (p, g.new), q_pair
+        if g.orig != orig:
+            raise InvariantViolation(f"gash {g} disagrees with rhombus {r0}")
         if newpq not in t.rhombi:
             return "stuck"
-        opp = pair[0] if pair[1] == g.edge else pair[1]
-        labels = dict(G.labels)
-        labels[g.edge] = g.new
-        labels.pop(opp, None)
-        ng = PlacedGash(opp, g.d, g.orig, g.new)
-        gashes = (G.gashes - {g}) | {ng}
-        return GashedPuzzle(G.n, labels, G.rhombi, frozenset(gashes)), ng
-    edges = cell_sides(cell)
-    if other_edges & set(edges):
-        return "blocked"
-    s = edges.index(g.edge)
-    q = tuple(
-        g.orig if i == s else G.labels[edges[i]] for i in range(3)
-    )
-    triples = t.up_list if cell[0] == "U" else t.down_list
-    assert q[s] == g.orig
-    cands = []
-    for q2 in triples:
-        if q2[s] != g.new:
-            continue
-        agree = [i for i in range(3) if i != s and q2[i] == q[i]]
-        if len(agree) == 1:
-            cands.append((q2, agree[0]))
-    if not cands:
-        return "stuck"
-    assert len(cands) == 1, (q, g, cands)
-    q2, s1 = cands[0]
-    s2 = ({0, 1, 2} - {s, s1}).pop()
-    outs = OUT_UP if cell[0] == "U" else OUT_DOWN
-    labels = dict(G.labels)
+        ng = PlacedGash(pair[0] if pair[1] == g.edge else pair[1], g.d, g.orig, g.new)
+    else:
+        edges = cell_sides(cell)
+        if other_edges & set(edges):
+            return "blocked"
+        s = edges.index(g.edge)
+        q = tuple(g.orig if i == s else B.labels[edges[i]] for i in range(3))
+        triples = t.up_list if cell[0] == "U" else t.down_list
+        cands = []
+        for q2 in triples:
+            if q2[s] != g.new:
+                continue
+            agree = [i for i in range(3) if i != s and q2[i] == q[i]]
+            if len(agree) == 1:
+                cands.append((q2, agree[0]))
+        if not cands:
+            return "stuck"
+        if len(cands) > 1:
+            raise InvariantViolation(f"gash {g} has replacements {cands} at {cell}")
+        q2, s1 = cands[0]
+        s2 = ({0, 1, 2} - {s, s1}).pop()
+        outs = OUT_UP if cell[0] == "U" else OUT_DOWN
+        ng = PlacedGash(edges[s2], outs[s2], q[s2], q2[s2])
+    labels = dict(B.labels)
     labels[g.edge] = g.new
-    del labels[edges[s2]]
-    ng = PlacedGash(edges[s2], outs[s2], q[s2], q2[s2])
-    gashes = (G.gashes - {g}) | {ng}
-    return GashedPuzzle(G.n, labels, G.rhombi, frozenset(gashes)), ng
+    del labels[ng.edge]
+    return GashedPuzzle(Puzzle(B.n, labels, B.rhombi), (G.gashes - {g}) | {ng}), ng
 
 
 def propagate_full(
     G: GashedPuzzle, g: PlacedGash
 ) -> tuple[GashedPuzzle, PlacedGash, list[Edge]]:
     """Propagate until stuck; returns the final state, the final gash,
-    and the path of gashed edges (asserting no edge repeats)."""
+    and the path of gashed edges (raising if an edge repeats)."""
     if g not in G.gashes:
         raise ValueError(f"gash {g} is not in this gashed puzzle")
     path = [g.edge]
@@ -359,7 +332,8 @@ def propagate_full(
         if res in ("stuck", "blocked"):
             return G, g, path
         G, g = res
-        assert g.edge not in path, "propagation revisited an edge"
+        if g.edge in path:
+            raise InvariantViolation(f"propagation revisited edge {g.edge}")
         path.append(g.edge)
 
 
@@ -368,9 +342,9 @@ def phi(G: GashedPuzzle) -> GashedPuzzle:
     g1, g2 = sorted(G.gashes)
     G1, f1, p1 = propagate_full(G, g1)
     G2, f2, p2 = propagate_full(G1, g2)
-    assert not (set(p1) & set(p2)), "propagation paths are not disjoint"
-    gashes = frozenset({f1.reverse(), f2.reverse()})
-    return GashedPuzzle(G2.n, dict(G2.labels), G2.rhombi, gashes)
+    if not set(p1).isdisjoint(p2):
+        raise InvariantViolation("propagation paths are not disjoint")
+    return GashedPuzzle(G2.base, frozenset({f1.reverse(), f2.reverse()}))
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +353,11 @@ def phi(G: GashedPuzzle) -> GashedPuzzle:
 
 @dataclass(frozen=True)
 class FlawedPuzzle:
-    """A puzzle with exactly one flaw.
+    """A puzzle with exactly one flaw: a :class:`~.board.Puzzle` plus
+    the flaw.
 
-    ``labels`` holds the interior ("inner") labels everywhere.  The flaw
-    is one of:
+    ``base.labels`` holds the interior ("inner") labels everywhere.  The
+    flaw is one of:
 
     - ``("gashpair", (border, ((i, outer_i), (j, outer_j))))`` with
       border ``"u"``/``"v"``/``"w"`` and 1-based positions whose outer
@@ -392,40 +367,16 @@ class FlawedPuzzle:
     - ``("scab", (x, y))`` marking the scab made of U(x,y) and D(x,y+1).
     """
 
-    n: int
-    labels: dict[Edge, int] = field(compare=False)
-    rhombi: frozenset = frozenset()
-    flaw: tuple = ()
-    _key: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        key = (
-            self.n,
-            tuple(sorted(self.labels.items())),
-            tuple(sorted(self.rhombi)),
-            self.flaw,
-        )
-        object.__setattr__(self, "_key", key)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FlawedPuzzle) and self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
+    base: Puzzle
+    flaw: tuple
 
     @property
     def flaw_type(self) -> str:
         return self.flaw[0]
 
-    def base_puzzle(self) -> Puzzle:
-        return Puzzle(self.n, dict(self.labels), self.rhombi)
-
-    def inner_boundary(self):
-        return self.base_puzzle().boundary()
-
     def boundary(self):
         """The outer boundary strings (u, v, w)."""
-        u, v, w = (list(s) for s in self.inner_boundary())
+        u, v, w = (list(s) for s in self.base.boundary())
         if self.flaw_type == "gashpair":
             border, positions = self.flaw[1]
             s = {"u": u, "v": v, "w": w}[border]
@@ -433,16 +384,13 @@ class FlawedPuzzle:
                 s[i - 1] = outer
         return tuple(u), tuple(v), tuple(w)
 
-    def weight(self):
-        return self.base_puzzle().weight()
-
     def cover_edge(self):
         """For a gash-pair flaw: the border name and the Bruhat cover
         linking the longer and shorter boundary strings."""
         if self.flaw_type != "gashpair":
             raise ValueError("not a gash-pair flaw")
         border = self.flaw[1][0]
-        iu, iv, iw = self.inner_boundary()
+        iu, iv, iw = self.base.boundary()
         ou, ov, ow = self.boundary()
         if border == "u":
             pre, post = ou, iu  # outer -> inner is a cover
@@ -453,40 +401,64 @@ class FlawedPuzzle:
         for ce in covers(pre):
             if ce.after == post:
                 return border, ce
-        raise FlawRecognitionError(f"border strings do not form a cover: {self}")
+        raise FlawRecognitionError(
+            f"border {border} strings {fmt(pre)} and {fmt(post)} do not form a cover"
+        )
 
     def validate(self) -> list[str]:
+        """Empty list iff this is a valid flawed puzzle.  Never raises
+        for a flaw of one of the three shapes: a flaw off the board or
+        on an unlabeled edge is reported as a violation."""
+        n, labels = self.base.n, self.base.labels
+        kind, data = self.flaw
+        if kind == "gashpair":
+            border, positions = data
+            where = [i for i, _ in positions]
+            if border not in ("u", "v", "w"):
+                return [f"unknown border {border!r}"]
+            if len(set(where)) != 2 or not all(1 <= i <= n for i in where):
+                return [f"gash positions {where} are not two positions in 1..{n}"]
+            bad = [l for _, l in positions if l not in SIMPLE]
+            if bad:
+                return [f"outer boundary label {l} is not simple" for l in bad]
+            edges = [_border_edge(border, i, n)[0] for i in where]
+        elif kind == "temporary":
+            if not _on_board(data, n):
+                return [f"cell {data} is not on the board"]
+            ck, x, yy = data
+            edges = cell_sides(data)
+        elif kind == "scab":
+            x, yy = data
+            if not 0 <= x <= yy <= n - 2:
+                return [f"scab anchor {data} is not on the board"]
+            edges = _scab_edges(x, yy)
+        else:
+            return [f"unknown flaw {self.flaw!r}"]
+        unlabeled = [e for e in edges if e not in labels]
+        if unlabeled:
+            return [f"flaw edge {e} is unlabeled" for e in unlabeled]
         out = []
-        base = self.base_puzzle()
-        problems = base.validate()
-        if self.flaw_type == "gashpair":
+        problems = self.base.validate()
+        if kind == "gashpair":
             out.extend(problems)
-            try:
-                self.cover_edge()
-            except FlawRecognitionError as e:
-                out.append(str(e))
-        elif self.flaw_type == "temporary":
-            kind, x, yy = self.flaw[1]
-            cell = (kind, x, yy)
-            triple = tuple(self.labels[e] for e in cell_sides(cell))
-            table = temporary_table() if kind == "U" else down_temporary_table()
+            if not problems:
+                try:
+                    self.cover_edge()
+                except FlawRecognitionError as e:
+                    out.append(str(e))
+        elif kind == "temporary":
+            triple = tuple(labels[e] for e in edges)
+            table = temporary_table() if ck == "U" else down_temporary_table()
             if triple not in table:
-                out.append(f"cell {cell} does not hold a temporary piece")
-            expect = f"invalid {'up' if kind == 'U' else 'down'}-triangle " \
+                out.append(f"cell {data} does not hold a temporary piece")
+            expect = f"invalid {'up' if ck == 'U' else 'down'}-triangle " \
                 f"{triple} at {(x, yy)}"
             out.extend(p for p in problems if p != expect)
-        elif self.flaw_type == "scab":
+        else:
             out.extend(problems)
-            x, yy = self.flaw[1]
-            s = _scab_at(self.labels, x, yy)
+            s = _scab_at(labels, x, yy)
             if s not in scab_table():
                 out.append(f"marked rhombus {s} at {(x, yy)} is not a scab")
-        else:
-            out.append(f"unknown flaw {self.flaw!r}")
-        for s in self.boundary():
-            for l in s:
-                if l > 2:
-                    out.append(f"composed outer boundary label {l}")
         return out
 
     # -- resolutions -------------------------------------------------------
@@ -494,43 +466,38 @@ class FlawedPuzzle:
     def resolutions(self) -> list[GashedPuzzle]:
         """Gash pair and marked scab have one resolution; a temporary
         piece has three, ordered by its preserved side."""
+        n, rhombi = self.base.n, self.base.rhombi
         if self.flaw_type == "gashpair":
             border, positions = self.flaw[1]
-            labels = dict(self.labels)
+            labels = dict(self.base.labels)
             gashes = set()
             for i, outer in positions:
-                edge, d = _border_edge(border, i, self.n)
+                edge, d = _border_edge(border, i, n)
                 gashes.add(PlacedGash(edge, d, labels.pop(edge), outer))
-            return [GashedPuzzle(self.n, labels, self.rhombi, frozenset(gashes))]
+            return [GashedPuzzle(Puzzle(n, labels, rhombi), frozenset(gashes))]
         if self.flaw_type == "temporary":
             kind, x, yy = self.flaw[1]
-            cell = (kind, x, yy)
-            edges = cell_sides(cell)
-            t = tuple(self.labels[e] for e in edges)
+            edges = cell_sides((kind, x, yy))
+            t = tuple(self.base.labels[e] for e in edges)
             table = temporary_table() if kind == "U" else down_temporary_table()
             outs = OUT_UP if kind == "U" else OUT_DOWN
             res = []
             for k in range(3):
                 r = table[t][k]
-                labels = dict(self.labels)
+                labels = dict(self.base.labels)
                 gashes = set()
                 for s in range(3):
                     if s == k:
                         continue
                     del labels[edges[s]]
                     gashes.add(PlacedGash(edges[s], outs[s], t[s], r[s]))
-                res.append(
-                    GashedPuzzle(self.n, labels, self.rhombi, frozenset(gashes))
-                )
+                res.append(GashedPuzzle(Puzzle(n, labels, rhombi), frozenset(gashes)))
             return res
         if self.flaw_type == "scab":
             x, yy = self.flaw[1]
-            s = _scab_at(self.labels, x, yy)
-            side, (p, q) = scab_table()[s]
-            nw_e, ne_e = ("A", x, yy), ("B", x, yy)
-            sw_e, se_e = ("B", x, yy + 1), ("A", x + 1, yy + 1)
-            labels = dict(self.labels)
-            del labels[("H", x, yy)]  # becomes the rhombus interior
+            labels = dict(self.base.labels)
+            side, (p, q) = scab_table()[_scab_at(labels, x, yy)]
+            nw_e, ne_e, se_e, sw_e = _scab_edges(x, yy)
             if side == "L":  # agrees on NW/SW; gashes on NE and SE
                 gashes = {
                     PlacedGash(ne_e, 0, labels.pop(ne_e), p),
@@ -541,8 +508,9 @@ class FlawedPuzzle:
                     PlacedGash(nw_e, 2, labels.pop(nw_e), q),
                     PlacedGash(sw_e, 3, labels.pop(sw_e), p),
                 }
-            rhombi = self.rhombi | {(x, yy, 0)}
-            return [GashedPuzzle(self.n, labels, frozenset(rhombi), frozenset(gashes))]
+            # H(x,y) becomes the rhombus interior, which Puzzle drops
+            base = Puzzle(n, labels, rhombi | {(x, yy, 0)})
+            return [GashedPuzzle(base, frozenset(gashes))]
         raise ValueError(f"unknown flaw {self.flaw!r}")
 
 
@@ -572,64 +540,48 @@ def recognize_flaw(G: GashedPuzzle) -> FlawedPuzzle:
     order: gash pair on a border segment, temporary-piece resolution,
     scab resolution."""
     g1, g2 = sorted(G.gashes)
-    n = G.n
+    B = G.base
+    n = B.n
+    # the inner labels: each gash edge gets the label it points at
+    labels = dict(B.labels)
+    labels[g1.edge] = g1.orig
+    labels[g2.edge] = g2.orig
     b1 = _border_position(g1.edge, g1.d, n)
     b2 = _border_position(g2.edge, g2.d, n)
     if b1 is not None and b2 is not None and b1[0] == b2[0]:
-        labels = dict(G.labels)
-        labels[g1.edge] = g1.orig
-        labels[g2.edge] = g2.orig
         positions = tuple(
             sorted(((b1[1], g1.new), (b2[1], g2.new)))
         )
-        P = FlawedPuzzle(n, labels, G.rhombi, ("gashpair", (b1[0], positions)))
+        P = FlawedPuzzle(Puzzle(n, labels, B.rhombi), ("gashpair", (b1[0], positions)))
         P.cover_edge()  # raises if the strings do not form a cover
         return P
     c1 = cell_behind(g1.edge, g1.d, n)
     c2 = cell_behind(g2.edge, g2.d, n)
-    if c1 is not None and c1 == c2 and G.rhombus_at(c1) is None:
+    if c1 is not None and c1 == c2 and B.rhombus_at(c1) is None:
         kind = c1[0]
         edges = cell_sides(c1)
         s1, s2 = edges.index(g1.edge), edges.index(g2.edge)
         k = ({0, 1, 2} - {s1, s2}).pop()
-        t = tuple(
-            g1.orig if i == s1 else g2.orig if i == s2 else G.labels[edges[i]]
-            for i in range(3)
-        )
+        t = tuple(labels[e] for e in edges)
         r = tuple(
-            g1.new if i == s1 else g2.new if i == s2 else G.labels[edges[i]]
-            for i in range(3)
+            g1.new if i == s1 else g2.new if i == s2 else t[i] for i in range(3)
         )
         table = temporary_table() if kind == "U" else down_temporary_table()
         if t in table and table[t][k] == r:
-            labels = dict(G.labels)
-            labels[g1.edge] = g1.orig
-            labels[g2.edge] = g2.orig
-            return FlawedPuzzle(n, labels, G.rhombi, ("temporary", c1))
-    r1 = G.rhombus_at(c1) if c1 is not None else None
-    r2 = G.rhombus_at(c2) if c2 is not None else None
+            return FlawedPuzzle(Puzzle(n, labels, B.rhombi), ("temporary", c1))
+    r1 = B.rhombus_at(c1) if c1 is not None else None
+    r2 = B.rhombus_at(c2) if c2 is not None else None
     if r1 is not None and r1 == r2:
         x, yy, o = r1
-        assert o == 0, "scab resolutions exist only for vertical rhombi"
-        nw_e, ne_e = ("A", x, yy), ("B", x, yy)
-        sw_e, se_e = ("B", x, yy + 1), ("A", x + 1, yy + 1)
-        lab = {}
-        for e in (nw_e, ne_e, sw_e, se_e):
-            if e == g1.edge:
-                lab[e] = g1.orig
-            elif e == g2.edge:
-                lab[e] = g2.orig
-            else:
-                lab[e] = G.labels[e]
-        s = (lab[nw_e], lab[ne_e], lab[se_e], lab[sw_e])
+        if o != 0:
+            raise FlawRecognitionError(f"stuck gashes meet non-vertical rhombus {r1}")
+        s = _scab_at(labels, x, yy)
         if s in scab_table():
             z = complete_triangle("up", left=s[0], right=s[1])
-            assert z is not None
-            labels = dict(G.labels)
-            labels.update(lab)
+            if z is None:
+                raise InvariantViolation(f"scab {s} has no top triangle")
             labels[("H", x, yy)] = z[2]
-            rhombi = frozenset(G.rhombi - {r1})
-            return FlawedPuzzle(n, labels, rhombi, ("scab", (x, yy)))
+            return FlawedPuzzle(Puzzle(n, labels, B.rhombi - {r1}), ("scab", (x, yy)))
     raise FlawRecognitionError(f"stuck gashes {sorted(G.gashes)} match no flaw")
 
 
@@ -663,9 +615,14 @@ def mutation_component(
     return graph
 
 
+def _ordered(graph: dict) -> tuple[list[FlawedPuzzle], dict[FlawedPuzzle, int]]:
+    """The nodes in output order, and each node's index in it."""
+    nodes = sorted(graph, key=lambda P: (P.base.key, P.flaw))
+    return nodes, {P: i for i, P in enumerate(nodes)}
+
+
 def component_to_json(graph: dict) -> str:
-    nodes = sorted(graph, key=lambda P: P._key)
-    index = {P: i for i, P in enumerate(nodes)}
+    nodes, index = _ordered(graph)
     return json.dumps(
         {
             "nodes": [json.loads(flawed_to_json(P)) for P in nodes],
@@ -679,8 +636,7 @@ def component_to_json(graph: dict) -> str:
 
 
 def component_to_dot(graph: dict) -> str:
-    nodes = sorted(graph, key=lambda P: P._key)
-    index = {P: i for i, P in enumerate(nodes)}
+    nodes, index = _ordered(graph)
     lines = ["graph mutation_component {"]
     for P in nodes:
         lines.append(f'  n{index[P]} [label="{P.flaw_type}"];')
@@ -699,29 +655,43 @@ def component_to_dot(graph: dict) -> str:
 # Right gashes and the sliding bijection
 
 
-def _edge_midpoint(e: Edge) -> tuple[float, float]:
+# A gash direction d makes the angle (2d + 1) * 30 degrees with the x axis:
+# it is (C[d] * sqrt(3) / 2, S[d] / 2).
+_DIR_C = (1, 0, -1, -1, 0, 1)
+_DIR_S = (1, 2, 1, -1, -2, -1)
+
+
+def _edge_midpoint(e: Edge) -> tuple[int, int]:
+    """Integers ``(X, Y)`` placing an edge's midpoint at the plane point
+    ``(X / 4, Y * sqrt(3) / 4)``, where vertex ``(x, y)`` sits at
+    ``(x - y / 2, -y * sqrt(3) / 2)``."""
     kind, x, yy = e
+    # xs, ys: coordinate sums of the edge's two end vertices
     if kind == "A":
-        vs = ((x, yy), (x, yy + 1))
+        xs, ys = 2 * x, 2 * yy + 1
     elif kind == "B":
-        vs = ((x, yy), (x + 1, yy + 1))
+        xs, ys = 2 * x + 1, 2 * yy + 1
     else:
-        vs = ((x, yy + 1), (x + 1, yy + 1))
-    pts = [(vx - vy / 2.0, -vy * math.sqrt(3) / 2.0) for vx, vy in vs]
-    return ((pts[0][0] + pts[1][0]) / 2, (pts[0][1] + pts[1][1]) / 2)
+        xs, ys = 2 * x + 1, 2 * yy + 2
+    return (2 * xs - ys, -ys)
 
 
 def right_gash(G: GashedPuzzle) -> PlacedGash:
     """The rightmost of the two gashes, as seen by an observer standing
-    between them and facing the direction of the gashes."""
+    between them and facing the direction of the gashes.
+
+    The side is the sign of the cross product of the summed gash
+    directions with the vector from the second gash to the first; scaled
+    by 8, that product is the integer ``cross``.
+    """
     g1, g2 = sorted(G.gashes)
-    a1 = math.radians(30 * (2 * g1.d + 1))
-    a2 = math.radians(30 * (2 * g2.d + 1))
-    f = (math.cos(a1) + math.cos(a2), math.sin(a1) + math.sin(a2))
-    p1, p2 = _edge_midpoint(g1.edge), _edge_midpoint(g2.edge)
-    rel = (p1[0] - p2[0], p1[1] - p2[1])
-    cross = f[0] * rel[1] - f[1] * rel[0]
-    assert abs(cross) > 1e-9, "gash positions are collinear with the direction"
+    X1, Y1 = _edge_midpoint(g1.edge)
+    X2, Y2 = _edge_midpoint(g2.edge)
+    c = _DIR_C[g1.d] + _DIR_C[g2.d]
+    s = _DIR_S[g1.d] + _DIR_S[g2.d]
+    cross = 3 * c * (Y1 - Y2) - s * (X1 - X2)
+    if cross == 0:
+        raise InvariantViolation("gash positions are collinear with the direction")
     return g1 if cross < 0 else g2
 
 
@@ -743,7 +713,8 @@ def psi(P: FlawedPuzzle) -> FlawedPuzzle:
     Rs = _arrow_resolutions(P, forward_gashes())
     if not Rs:
         raise ValueError("puzzle has no forward resolution")
-    assert len(Rs) == 1, "forward resolution is not unique"
+    if len(Rs) > 1:
+        raise InvariantViolation("forward resolution is not unique")
     return recognize_flaw(phi(Rs[0]))
 
 
@@ -764,7 +735,6 @@ def enumerate_flawed(
 ) -> Iterator[FlawedPuzzle]:
     """All flawed puzzles whose outer boundary is ``(u, v, w)``:
     gash pairs on each border, marked scabs, and temporary pieces."""
-    n = len(u)
     for border, outer in (("u", u), ("v", v)):
         for ce in covers(outer):
             bounds = (ce.after, v, w) if border == "u" else (u, ce.after, w)
@@ -772,22 +742,18 @@ def enumerate_flawed(
                 sorted((i + 1, outer[i]) for i in (ce.i, ce.j))
             )
             for P in enumerate_puzzles(*bounds):
-                yield FlawedPuzzle(
-                    n, dict(P.labels), P.rhombi, ("gashpair", (border, positions))
-                )
+                yield FlawedPuzzle(P, ("gashpair", (border, positions)))
     for ce in cocovers(w):
         positions = tuple(sorted((i + 1, w[i]) for i in (ce.i, ce.j)))
         for P in enumerate_puzzles(u, v, ce.before):
-            yield FlawedPuzzle(
-                n, dict(P.labels), P.rhombi, ("gashpair", ("w", positions))
-            )
+            yield FlawedPuzzle(P, ("gashpair", ("w", positions)))
     for P in enumerate_puzzles(u, v, w):
         for x, yy in scab_positions(P):
-            yield FlawedPuzzle(n, dict(P.labels), P.rhombi, ("scab", (x, yy)))
+            yield FlawedPuzzle(P, ("scab", (x, yy)))
     sp_up = set(temporary_table())
     sp_down = set(down_temporary_table())
     for P, cell in enumerate_one_special(u, v, w, sp_up, sp_down):
-        yield FlawedPuzzle(n, dict(P.labels), P.rhombi, ("temporary", cell))
+        yield FlawedPuzzle(P, ("temporary", cell))
 
 
 # ---------------------------------------------------------------------------
@@ -798,8 +764,7 @@ def dual_flawed(P: FlawedPuzzle) -> FlawedPuzzle:
     """Reflect the flawed puzzle and dualize all labels."""
     from .labels import dual_label
 
-    D = P.base_puzzle().dual()
-    n = P.n
+    n = P.base.n
     kind, data = P.flaw
     if kind == "gashpair":
         border, positions = data
@@ -817,11 +782,11 @@ def dual_flawed(P: FlawedPuzzle) -> FlawedPuzzle:
     else:
         x, yy = data
         flaw = ("scab", (yy - x, yy))
-    return FlawedPuzzle(n, dict(D.labels), D.rhombi, flaw)
+    return FlawedPuzzle(P.base.dual(), flaw)
 
 
 def flawed_to_json(P: FlawedPuzzle) -> str:
-    base = json.loads(puzzle_to_json(P.base_puzzle()))
+    base = json.loads(puzzle_to_json(P.base))
     kind, data = P.flaw
     if kind == "gashpair":
         border, positions = data
@@ -848,7 +813,7 @@ def flawed_from_json(text: str) -> FlawedPuzzle:
         payload = tuple(flaw["cell"])
     else:
         payload = tuple(flaw["anchor"])
-    return FlawedPuzzle(base.n, dict(base.labels), base.rhombi, (kind, payload))
+    return FlawedPuzzle(base, (kind, payload))
 
 
 if __name__ == "__main__":

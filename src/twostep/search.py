@@ -29,6 +29,7 @@ from typing import Iterator
 from .algebra import YPoly
 from .board import (
     Edge,
+    InvariantViolation,
     Puzzle,
     down_cell_edges,
     rhombus_outer_edges,
@@ -60,8 +61,14 @@ def _cell_order(n: int) -> list[tuple[str, int, int]]:
 def enumerate_puzzles(u: String012, v: String012, w: String012) -> Iterator[Puzzle]:
     """Yield all puzzles with boundary ``(u, v, w)`` in deterministic order."""
     for P, _ in _enumerate(u, v, w):
-        assert P.validate() == [], P.validate()
-        yield P
+        yield _checked(P)
+
+
+def _checked(P: Puzzle) -> Puzzle:
+    problems = P.validate()
+    if problems:
+        raise InvariantViolation(f"built an invalid puzzle: {problems}")
+    return P
 
 
 def enumerate_one_special(
@@ -248,11 +255,10 @@ def restriction_puzzle(w: String012) -> Puzzle:
                 rhombi.add((x, yy, 0))
             else:
                 done = complete_triangle("up", left=q, right=p)
-                assert done is not None
+                if done is None:
+                    raise InvariantViolation(f"no up-triangle with sides {(q, p)}")
                 labels[("H", x, yy)] = done[2]
-    P = Puzzle(n, labels, frozenset(rhombi))
-    assert P.validate() == [], P.validate()
-    return P
+    return _checked(Puzzle(n, labels, frozenset(rhombi)))
 
 
 if __name__ == "__main__":

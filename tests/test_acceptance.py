@@ -184,7 +184,7 @@ def test_06_flaw_tables():
         # right-side-up temporary pieces whose resolutions meet both the
         # forward and the backward sliding sets: place each piece at the
         # top cell and classify the right gash of each resolution
-        from twostep.board import up_cell_edges
+        from twostep.board import Puzzle, up_cell_edges
 
         F, B = forward_gashes(), backward_gashes()
         out_up = (2, 0, 4)
@@ -198,7 +198,7 @@ def test_06_flaw_tables():
                     for s in range(3)
                     if s != k
                 )
-                g = right_gash(GashedPuzzle(1, {}, frozenset(), gashes)).abstract
+                g = right_gash(GashedPuzzle(Puzzle(1, {}), gashes)).abstract
                 fwd += g in F
                 bwd += g in B
             if fwd and bwd:

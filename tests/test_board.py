@@ -1,5 +1,7 @@
 """Tests for the triangular board, puzzles, and serialization."""
 
+import json
+
 import pytest
 
 from twostep.algebra import YPoly, y
@@ -102,6 +104,29 @@ def test_json_round_trip():
 def test_json_rejects_garbage():
     with pytest.raises(Exception):
         puzzle_from_json("{}")
+
+
+@pytest.mark.parametrize(
+    "region, labels",
+    [([2.0, 0, 2.0, 0, 2.0, 0], [0, 1, 1]), ([2, 0, 2, 0, 2, 0], [[0], 1, 1])],
+    ids=["float-region", "list-label"],
+)
+def test_json_rejects_non_integers(region, labels):
+    piece = {"kind": "triangle", "anchor": [0, 0], "labels": labels}
+    with pytest.raises(ValueError):
+        puzzle_from_json(json.dumps({"region": region, "pieces": [piece]}))
+
+
+def test_validate_reports_rhombus_off_the_board():
+    # the rhombus hangs below the bottom row: its interior edge is a
+    # border edge, so the boundary cannot be read
+    pieces = [
+        {"kind": "rhombus", "anchor": [0, 1], "labels": [1, 0]},
+        {"kind": "triangle", "anchor": [0, 0], "labels": [0, 1, 1]},
+        {"kind": "triangle", "anchor": [1, 1], "labels": [0, 0, 0]},
+    ]
+    P = puzzle_from_json(json.dumps({"region": [2, 0, 2, 0, 2, 0], "pieces": pieces}))
+    assert P.validate() == ["rhombus (0, 1, 0) leaves the board"]
 
 
 def test_render():

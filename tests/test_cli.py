@@ -1,9 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twostep.board import puzzle_to_json
 from twostep.cli import main
@@ -132,6 +136,74 @@ def test_mutate_bad_flaw_grammar_is_input_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.fixture(scope="module")
+def scab_file(tmp_path_factory):
+    """A puzzle file with a scab, and the flaw spec marking that scab."""
+    P, (x, yy) = scabbed_puzzle()
+    path = tmp_path_factory.mktemp("mutate") / "puzzle.json"
+    path.write_text(puzzle_to_json(P))
+    return str(path), f"scab:{x},{yy}"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        pytest.param(["--flaw", "scab:9,9"], 3, id="scab-off-board"),
+        # the bottom row has no down-cell below it
+        pytest.param(["--flaw", "scab:0,3"], 3, id="scab-bottom-row"),
+        pytest.param(["--flaw", "temporary:U,0,5"], 3, id="temporary-off-board"),
+        pytest.param(["--flaw", "gashpair:u,1,7,9,0"], 3, id="gashpair-off-border"),
+        # a scab flaw has one resolution
+        pytest.param(["--flaw", "SCAB", "--choices", "1"], 3, id="choice-too-large"),
+        pytest.param(["--flaw", "SCAB", "--choices", "-1"], 2, id="choice-negative"),
+        pytest.param(["--flaw", "SCAB", "--choices", "x"], 2, id="choice-not-int"),
+        pytest.param(["--flaw", "SCAB", "--steps", "-2"], 2, id="steps-negative"),
+        pytest.param(
+            ["--puzzle", "EMPTY", "--flaw", "scab:0,0"], 3, id="no-pieces"
+        ),
+    ],
+)
+def test_mutate_bad_input_exit_codes(capsys, tmp_path, scab_file, argv, code):
+    path, scab = scab_file
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"region": [4, 0, 4, 0, 4, 0], "pieces": []}))
+    subs = {"SCAB": scab, "EMPTY": str(empty)}
+    argv = [subs.get(a, a) for a in argv]
+    if "--puzzle" not in argv:
+        argv = ["--puzzle", path] + argv
+    got, out, err = run(capsys, "mutate", *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith(("input error", "semantic error"))
+
+
+_SMALL = st.integers(-2, 10)
+_FLAW_SPECS = st.one_of(
+    st.builds("scab:{},{}".format, _SMALL, _SMALL),
+    st.builds("temporary:{},{},{}".format, st.sampled_from("UDX"), _SMALL, _SMALL),
+    st.builds(
+        "gashpair:{},{},{},{},{}".format,
+        st.sampled_from("uvwx"), _SMALL, _SMALL, _SMALL, _SMALL,
+    ),
+    st.text(max_size=16),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(spec=_FLAW_SPECS, choice=st.integers(0, 3))
+def test_mutate_fuzz_never_tracebacks(scab_file, spec, choice):
+    path, _ = scab_file
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(
+                ["mutate", "--puzzle", path, f"--flaw={spec}", f"--choices={choice}"]
+            )
+        except SystemExit as e:  # argparse rejects the command line
+            code = e.code
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
 def test_mutate_missing_file_is_input_error(capsys, tmp_path):
     code, _, _ = run(
         capsys, "mutate", "--puzzle", str(tmp_path / "nope.json"), "--flaw", "scab:0,0"
@@ -178,3 +250,12 @@ def test_verify_oracle_small(capsys):
     data = json.loads(out)
     assert data["pass"] is True
     assert all(r["pass"] for r in data["checks"])
+
+
+@pytest.mark.parametrize(
+    "suite, max_n", [("oracle", "1"), ("mutation", "1"), ("oracle", "-5")]
+)
+def test_verify_rejects_max_n_below_2(capsys, suite, max_n):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", max_n)
+    assert (code, out) == (2, "")
+    assert "--max-n" in err

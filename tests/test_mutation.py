@@ -1,13 +1,18 @@
 """Tests for gashes, flaws, propagation, and the mutation maps."""
 
+import hashlib
 import itertools
 import json
+import math
 from collections import Counter
 
 import pytest
 
+from twostep.board import InvariantViolation, Puzzle
 from twostep.mutation import (
     FlawedPuzzle,
+    GashedPuzzle,
+    PlacedGash,
     all_directed_gashes,
     backward_gashes,
     component_to_dot,
@@ -29,13 +34,14 @@ from twostep.mutation import (
     psi,
     psi_infinity,
     recognize_flaw,
+    right_gash,
     rotate_gash,
     scab_positions,
     scab_table,
     singleton_gashes,
     temporary_table,
 )
-from twostep.strings import all_strings, parse
+from twostep.strings import all_strings, contents_up_to, parse
 
 
 def sample_flawed(a=1, b=2, n=3):
@@ -185,12 +191,73 @@ def test_flawed_validate_rejects_non_cover_gashpair():
     # outer labels equal to the inner ones: the border strings do not
     # form a Bruhat cover, so the flaw is rejected
     flaw = ("gashpair", ("u", ((1, u[0]), (2, u[1]))))
-    bad = FlawedPuzzle(P.n, dict(P.labels), P.rhombi, flaw)
-    assert bad.validate() != []
+    bad = FlawedPuzzle(P, flaw)
+    assert bad.validate() == ["border u strings 012 and 012 do not form a cover"]
 
 
 def test_scab_positions_are_scabs():
     for P in sample_flawed():
         if P.flaw_type == "scab":
-            assert P.flaw[1] in scab_positions(P.base_puzzle())
+            assert P.flaw[1] in scab_positions(P.base)
             assert P.validate() == []
+
+
+def test_component_output_pinned():
+    # every component met in the de-duplicated n <= 3 sweep, as
+    # serialized: pins the node order of component_to_json/_to_dot
+    digest = hashlib.sha256()
+    seen = set()
+    count = 0
+    for a, b, n in contents_up_to(3):
+        for P in sample_flawed(a, b, n):
+            if P in seen:
+                continue
+            comp = mutation_component(P)
+            seen.update(comp)
+            count += 1
+            digest.update(component_to_json(comp).encode())
+            digest.update(component_to_dot(comp).encode())
+    assert (count, digest.hexdigest()[:16]) == (132, "5ea4ce4acb14ea55")
+
+
+def _right_gash_float(G):
+    """Reference: ``right_gash`` computed in floating point."""
+
+    def midpoint(e):
+        kind, x, yy = e
+        if kind == "A":
+            vs = ((x, yy), (x, yy + 1))
+        elif kind == "B":
+            vs = ((x, yy), (x + 1, yy + 1))
+        else:
+            vs = ((x, yy + 1), (x + 1, yy + 1))
+        pts = [(vx - vy / 2.0, -vy * math.sqrt(3) / 2.0) for vx, vy in vs]
+        return ((pts[0][0] + pts[1][0]) / 2, (pts[0][1] + pts[1][1]) / 2)
+
+    g1, g2 = sorted(G.gashes)
+    a1 = math.radians(30 * (2 * g1.d + 1))
+    a2 = math.radians(30 * (2 * g2.d + 1))
+    f = (math.cos(a1) + math.cos(a2), math.sin(a1) + math.sin(a2))
+    p1, p2 = midpoint(g1.edge), midpoint(g2.edge)
+    cross = f[0] * (p1[1] - p2[1]) - f[1] * (p1[0] - p2[0])
+    assert abs(cross) > 1e-9
+    return g1 if cross < 0 else g2
+
+
+def test_right_gash_matches_float_reference():
+    checked = 0
+    for a, b, n in contents_up_to(3):
+        for P in sample_flawed(a, b, n):
+            for R in P.resolutions():
+                assert right_gash(R) == _right_gash_float(R)
+                checked += 1
+    assert checked == 476
+
+
+def test_right_gash_rejects_collinear_gashes():
+    # both gashes point north, and H(1,2) lies straight south of H(0,0)
+    gashes = frozenset(
+        {PlacedGash(("H", 0, 0), 1, 0, 1), PlacedGash(("H", 1, 2), 1, 0, 1)}
+    )
+    with pytest.raises(InvariantViolation):
+        right_gash(GashedPuzzle(Puzzle(3, {}), gashes))
