@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .algebra import YPoly, y
 from .labels import SIMPLE, dual_label, tables
@@ -449,17 +449,11 @@ def _vertex_xy(x: int, yy: int, scale: float = 40.0) -> tuple[float, float]:
     return (scale * (x - yy / 2.0), scale * yy * 0.8660254)
 
 
-def render_svg(
-    P: Puzzle,
-    marked_scabs: Iterable[tuple[int, int]] = (),
-    gashes: Iterable[tuple[Edge, int, int]] = (),
-) -> str:
-    """Render to SVG: triangles outlined, rhombi shaded, marked scabs in
-    a distinct fill, gashes drawn with both labels."""
+def render_svg(P: Puzzle) -> str:
+    """Render to SVG: triangles outlined, rhombi shaded."""
     n = P.n
     scale = 40.0
     ups, downs = P.covered_cells()
-    marked = set(marked_scabs)
     parts: list[str] = []
 
     def pt(p):
@@ -471,16 +465,14 @@ def render_svg(
             f'<polygon points="{pts}" fill="{fill}" stroke="black" stroke-width="1"/>'
         )
 
-    def text(px, py, s, color="black"):
+    def text(px, py, s):
         parts.append(
             f'<text x="{px + scale * n / 2 + 10:.1f}" y="{py + 10:.1f}" '
-            f'font-size="9" fill="{color}" text-anchor="middle">{s}</text>'
+            f'font-size="9" fill="black" text-anchor="middle">{s}</text>'
         )
 
-    drawn_rhombi = set()
     for r in sorted(P.rhombi):
         up, down = rhombus_cells(r)
-        drawn_rhombi.update({("U", *up), ("D", *down)})
         ux, uy = up
         a = _vertex_xy(ux, uy, scale)
         bl = _vertex_xy(ux, uy + 1, scale)
@@ -496,8 +488,7 @@ def render_svg(
         cx = sum(p[0] for p in quad) / 4
         cy = sum(p[1] for p in quad) / 4
         ordered = sorted(quad, key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
-        fill = "#ffb0b0" if up in marked else "#c8d8ff"
-        poly(ordered, fill)
+        poly(ordered, "#c8d8ff")
         p_pair, q_pair = rhombus_outer_edges(r)
         text(cx, cy, f"{P.labels[p_pair[0]]}/{P.labels[q_pair[0]]}")
     for x, yy in up_cells(n):
@@ -506,8 +497,7 @@ def render_svg(
         a = _vertex_xy(x, yy, scale)
         bl = _vertex_xy(x, yy + 1, scale)
         br = _vertex_xy(x + 1, yy + 1, scale)
-        fill = "#fff3b0" if (x, yy) in marked else "white"
-        poly([a, bl, br], fill)
+        poly([a, bl, br], "white")
         if ("H", x, yy) in P.labels:
             text((bl[0] + br[0]) / 2, bl[1] - 3, str(P.labels[("H", x, yy)]))
         if ("A", x, yy) in P.labels:
@@ -521,19 +511,6 @@ def render_svg(
         tr = _vertex_xy(x + 1, yy, scale)
         bot = _vertex_xy(x + 1, yy + 1, scale)
         poly([tl, tr, bot], "white")
-    for e, orig, new in gashes:
-        kind, x, yy = e
-        if kind == "H":
-            p1 = _vertex_xy(x, yy + 1, scale)
-            p2 = _vertex_xy(x + 1, yy + 1, scale)
-        elif kind == "A":
-            p1 = _vertex_xy(x, yy + 1, scale)
-            p2 = _vertex_xy(x, yy, scale)
-        else:
-            p1 = _vertex_xy(x, yy, scale)
-            p2 = _vertex_xy(x + 1, yy + 1, scale)
-        mx, my = (p1[0] + p2[0]) / 2, (p1[1] + p2[1]) / 2
-        text(mx, my, f"{orig}|{new}", color="red")
     size = scale * (n + 1) + 20
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" '

@@ -21,6 +21,7 @@ All output is deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -28,6 +29,7 @@ from typing import Sequence
 
 from .algebra import format_poly
 from .board import puzzle_from_json, render_svg, render_text
+from .labels import load_tables
 from .strings import (
     String012,
     all_strings,
@@ -50,6 +52,8 @@ class SemanticError(Exception):
 
 
 def _parse_string(text: str) -> String012:
+    if not text:
+        raise InputError("empty 012-string")
     try:
         return parse(text)
     except (ValueError, TypeError) as e:
@@ -86,6 +90,11 @@ def _cmd_puzzles(args) -> int:
     u, v, w = (_parse_string(s) for s in (args.u, args.v, args.w))
     if not (content(u) == content(v) == content(w)):
         raise InputError("u, v, w have different contents")
+    if args.out is not None:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as e:
+            raise InputError(f"cannot write to --out {args.out!r}: {e}")
     puzzles = list(enumerate_puzzles(u, v, w))
     print(f"count: {len(puzzles)}")
     for i, P in enumerate(puzzles):
@@ -93,7 +102,6 @@ def _cmd_puzzles(args) -> int:
         if args.render == "text" and args.out is None:
             print(render_text(P))
     if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
         for i, P in enumerate(puzzles):
             if args.render == "svg":
                 path = os.path.join(args.out, f"puzzle_{i:03d}.svg")
@@ -162,13 +170,10 @@ def _cmd_mutate(args) -> int:
         return 0
     for k in range(args.steps):
         choice = choices[k] if k < len(choices) else 0
-        count = len(P.resolutions())
-        if choice >= count:
-            raise SemanticError(
-                f"step {k + 1}: choice {choice} is out of range; "
-                f"a {P.flaw_type} flaw has {count} resolution(s)"
-            )
-        P = mutate(P, choice)
+        try:
+            P = mutate(P, choice)
+        except ValueError as e:
+            raise SemanticError(f"step {k + 1}: {e}")
         print(flawed_to_json(P))
     return 0
 
@@ -210,9 +215,9 @@ def _cmd_quantum(args) -> int:
 
 
 def _suite_pieces(max_n: int) -> list[dict]:
-    from .labels import tables, validate_tables
+    from .labels import validate_tables
 
-    problems = validate_tables(tables())
+    problems = validate_tables()
     return [
         {
             "check": "piece tables",
@@ -255,11 +260,9 @@ def _suite_oracle(max_n: int) -> list[dict]:
     for a, b, n in contents_up_to(max_n):
         bad = []
         strings = all_strings(a, b, n)
-        for u in strings:
-            for v in strings:
-                for w in strings:
-                    if structure_constant(u, v, w) != oracle_constant(u, v, w):
-                        bad.append((fmt(u), fmt(v), fmt(w)))
+        for u, v, w in itertools.product(strings, repeat=3):
+            if structure_constant(u, v, w) != oracle_constant(u, v, w):
+                bad.append((fmt(u), fmt(v), fmt(w)))
         reports.append(
             {
                 "check": "oracle equivalence",
@@ -273,27 +276,24 @@ def _suite_oracle(max_n: int) -> list[dict]:
 
 
 def _suite_mutation(max_n: int) -> list[dict]:
-    from .mutation import enumerate_flawed, mutate, mutations, phi, recognize_flaw
+    from .mutation import enumerate_flawed, phi, recognize_flaw
 
     reports = []
     for a, b, n in contents_up_to(max_n):
         bad = []
         count = 0
-        strings = all_strings(a, b, n)
-        for u in strings:
-            for v in strings:
-                for w in strings:
-                    for P in enumerate_flawed(u, v, w):
-                        count += 1
-                        for i, R in enumerate(P.resolutions()):
-                            G = phi(R)
-                            Q = recognize_flaw(G)
-                            if Q.boundary() != P.boundary() or Q.validate():
-                                bad.append((fmt(u), fmt(v), fmt(w), "flaw"))
-                                continue
-                            back = phi(G)
-                            if recognize_flaw(back) != P:
-                                bad.append((fmt(u), fmt(v), fmt(w), "involution"))
+        for u, v, w in itertools.product(all_strings(a, b, n), repeat=3):
+            for P in enumerate_flawed(u, v, w):
+                count += 1
+                for R in P.resolutions():
+                    G = phi(R)  # raises InvariantViolation on crossing paths
+                    Q = recognize_flaw(G)
+                    if Q.boundary() != P.boundary() or Q.validate():
+                        bad.append((fmt(u), fmt(v), fmt(w), "flaw"))
+                        continue
+                    back = phi(G)
+                    if back != R or recognize_flaw(back) != P:
+                        bad.append((fmt(u), fmt(v), fmt(w), "involution"))
         reports.append(
             {
                 "check": "mutation involution",
@@ -321,26 +321,25 @@ def _suite_aura(max_n: int) -> list[dict]:
     reports = [check_gash_classes()]
     for a, b, n in contents_up_to(max_n):
         bad = []
-        strings = all_strings(a, b, n)
         seen = set()
-        for u in strings:
-            for v in strings:
-                for w in strings:
-                    for P in enumerate_puzzles(u, v, w):
-                        for r in (check_boundary_aura(P), check_scab_sum(P)):
-                            if not r["pass"]:
-                                bad.append(r)
-                    for r in (check_two_sums(u, v, w), check_recursion(u, v, w)):
-                        if not r["pass"]:
-                            bad.append(r)
-                    for P in enumerate_flawed(u, v, w):
-                        if P in seen:
-                            continue
-                        comp = mutation_component(P)
-                        seen.update(comp)
-                        r = check_mutation_closed_sum(comp)
-                        if not r["pass"]:
-                            bad.append(r)
+        for u, v, w in itertools.product(all_strings(a, b, n), repeat=3):
+            for P in enumerate_puzzles(u, v, w):
+                for r in (check_boundary_aura(P), check_scab_sum(P)):
+                    if not r["pass"]:
+                        bad.append(r)
+            # one enumeration feeds the two sums and the components
+            flawed = list(enumerate_flawed(u, v, w))
+            for r in (check_two_sums(u, v, w, flawed), check_recursion(u, v, w)):
+                if not r["pass"]:
+                    bad.append(r)
+            for P in flawed:
+                if P in seen:
+                    continue
+                comp = mutation_component(P)
+                seen.update(comp)
+                r = check_mutation_closed_sum(comp)
+                if not r["pass"]:
+                    bad.append(r)
         reports.append(
             {
                 "check": "aura identities",
@@ -431,6 +430,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        try:
+            load_tables()
+        except (OSError, ValueError) as e:
+            raise InputError(f"cannot read piece tables: {e}")
         return args.func(args)
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)

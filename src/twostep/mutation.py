@@ -408,7 +408,8 @@ class FlawedPuzzle:
     def validate(self) -> list[str]:
         """Empty list iff this is a valid flawed puzzle.  Never raises
         for a flaw of one of the three shapes: a flaw off the board or
-        on an unlabeled edge is reported as a violation."""
+        on an unlabeled edge is reported as a violation, and so is a
+        non-vertical rhombus (mutation recognizes vertical ones only)."""
         n, labels = self.base.n, self.base.labels
         kind, data = self.flaw
         if kind == "gashpair":
@@ -438,7 +439,9 @@ class FlawedPuzzle:
         if unlabeled:
             return [f"flaw edge {e} is unlabeled" for e in unlabeled]
         out = []
-        problems = self.base.validate()
+        problems = self.base.validate() + [
+            f"rhombus {r} is not vertical" for r in sorted(self.base.rhombi) if r[2]
+        ]
         if kind == "gashpair":
             out.extend(problems)
             if not problems:
@@ -591,8 +594,14 @@ def recognize_flaw(G: GashedPuzzle) -> FlawedPuzzle:
 
 def mutate(P: FlawedPuzzle, choice: int = 0) -> FlawedPuzzle:
     """The flawed puzzle whose resolution is ``phi`` of the chosen
-    resolution of ``P``."""
-    return recognize_flaw(phi(P.resolutions()[choice]))
+    resolution of ``P``; ``choice`` must index one of its resolutions."""
+    res = P.resolutions()
+    if not 0 <= choice < len(res):
+        raise ValueError(
+            f"choice {choice} is out of range; "
+            f"a {P.flaw_type} flaw has {len(res)} resolution(s)"
+        )
+    return recognize_flaw(phi(res[choice]))
 
 
 def mutations(P: FlawedPuzzle) -> list[FlawedPuzzle]:

@@ -1,41 +1,34 @@
 """Acceptance gate: the ten end-to-end criteria for the package.
 
 Every check uses exact arithmetic (integer polynomial equality, zero
-tolerance) and asserts an explicit wall-clock budget.  Criteria 3 and 4
-cache the constants they compute so criterion 9 (Graham positivity) can
-re-examine them without recomputation.
+tolerance) and asserts an explicit wall-clock budget.  Criteria 3, 7
+and 8 run the ``twostep verify`` suites, the one implementation of each
+sweep.  Criteria 1, 2 and 4 keep the constants they compute, and
+criterion 3 leaves every ``n <= 4`` oracle constant cached, so
+criterion 9 (Graham positivity) can re-examine them without
+recomputation.
 """
 
-import itertools
+import json
 import time
 from collections import Counter
 
 from conftest import all_triples
 
 from twostep.algebra import YPoly, is_graham_positive, y
-from twostep.aura import (
-    check_gash_classes,
-    check_mutation_closed_sum,
-    check_scab_sum,
-    check_two_sums,
-)
+from twostep.cli import main
 from twostep.mutation import (
     GashedPuzzle,
     PlacedGash,
     all_directed_gashes,
     backward_gashes,
-    down_temporary_table,
     enumerate_flawed,
     forward_gashes,
     gash_class,
     in_backward_set,
     in_forward_set,
-    mutation_component,
     opposite,
-    phi,
-    propagate_full,
     psi_infinity,
-    recognize_flaw,
     right_gash,
     rotate_gash,
     scab_table,
@@ -53,7 +46,8 @@ from twostep.strings import (
     quantum_product,
 )
 
-# structure constants computed along the way, re-checked by criterion 9
+# structure constants computed by criteria 1, 2 and 4, re-checked by
+# criterion 9
 _COMPUTED_CONSTANTS: list[YPoly] = []
 
 
@@ -71,6 +65,25 @@ class Budget:
         if exc[0] is None:
             elapsed = time.monotonic() - self.start
             assert elapsed < self.limit, f"took {elapsed:.1f}s, budget {self.limit}s"
+
+
+def verify(capsys, suite):
+    """Run ``twostep verify --suite SUITE --max-n 4``; assert it passes
+    and return the instance of each check."""
+    code = main(["verify", "--suite", suite, "--max-n", "4"])
+    report = json.loads(capsys.readouterr().out)
+    assert (code, report["pass"]) == (0, True), report
+    return [r["instance"] for r in report["checks"]]
+
+
+def split_instance(instance):
+    """``"Fl(1,2;4), 2926 flawed puzzles"`` -> ``("Fl(1,2;4)", 2926)``."""
+    flag, count = instance.split(", ")
+    return flag, int(count.split()[0])
+
+
+# the flag varieties the n <= 4 sweeps cover, as the suites name them
+FLAGS_UP_TO_4 = [f"Fl({a},{b};{n})" for a, b, n in contents_up_to(4)]
 
 
 def test_01_worked_product_example():
@@ -98,16 +111,15 @@ def test_02_worked_quantum_example():
     _COMPUTED_CONSTANTS.extend(terms.values())
 
 
-def test_03_oracle_equivalence():
+def test_03_oracle_equivalence(capsys):
     with Budget(120):
-        for a, b, n in [(1, 1, 2), (1, 2, 3), (1, 1, 3), (1, 2, 4), (2, 3, 4)]:
-            for u, v, w in all_triples(a, b, n):
-                c = YPoly()
-                for P in enumerate_puzzles(u, v, w):
-                    c = c + P.weight()
-                assert c == oracle_constant(u, v, w), (fmt(u), fmt(v), fmt(w))
-                if c:
-                    _COMPUTED_CONSTANTS.append(c)
+        instances = verify(capsys, "oracle")
+    counts = [split_instance(i) for i in instances]
+    assert counts == [
+        (flag, len(all_strings(a, b, n)) ** 3)
+        for flag, (a, b, n) in zip(FLAGS_UP_TO_4, contents_up_to(4))
+    ]
+    assert sum(k for _, k in counts) == 5806
 
 
 def test_04_extreme_triples_have_one_puzzle():
@@ -210,53 +222,35 @@ def test_06_flaw_tables():
         }
 
 
-def test_07_mutation_properties_exhaustive():
+def test_07_mutation_properties_exhaustive(capsys):
+    # per resolution R of every flawed puzzle: the propagation paths are
+    # disjoint (phi raises otherwise), phi(R) is the resolution of exactly
+    # one valid flawed puzzle with the same outer boundary, and
+    # phi(phi(R)) == R
     with Budget(300):
-        checked = 0
-        for a, b, n in contents_up_to(4):
-            for u, v, w in all_triples(a, b, n):
-                for P in enumerate_flawed(u, v, w):
-                    for R in P.resolutions():
-                        g1, g2 = sorted(R.gashes)
-                        G1, _, p1 = propagate_full(R, g1)
-                        _, _, p2 = propagate_full(G1, g2)
-                        assert not (set(p1) & set(p2))  # disjoint paths
-                        Q = phi(R)  # terminates (asserts internally)
-                        assert phi(Q) == R  # involution
-                        flaw = recognize_flaw(Q)  # exactly one flaw
-                        assert flaw.validate() == []
-                        checked += 1
-        assert checked > 10000
+        instances = verify(capsys, "mutation")
+    counts = [split_instance(i) for i in instances]
+    assert [flag for flag, _ in counts] == FLAGS_UP_TO_4
+    assert sum(k for _, k in counts) == 9606
 
 
-def test_08_aura_identities_exhaustive():
+def test_08_aura_identities_exhaustive(capsys):
+    # class-constant gash auras, then per n <= 4 content: border aura and
+    # scab sums of every puzzle, the two weighted sums and the recursion
+    # of every triple, and the aura sum of every mutation component
     with Budget(300):
-        assert check_gash_classes()["pass"]
-        for a, b, n in contents_up_to(4):
-            seen = set()
-            for u, v, w in all_triples(a, b, n):
-                for P in enumerate_puzzles(u, v, w):
-                    assert check_scab_sum(P)["pass"], (fmt(u), fmt(v), fmt(w))
-                r = check_two_sums(u, v, w)
-                assert r["pass"], r
-                for P in enumerate_flawed(u, v, w):
-                    if P in seen:
-                        continue
-                    members = list(mutation_component(P))
-                    seen.update(members)
-                    r = check_mutation_closed_sum(members)
-                    assert r["pass"], r
+        instances = verify(capsys, "aura")
+    assert instances == ["all 336 directed gashes"] + FLAGS_UP_TO_4
 
 
 def test_09_graham_positivity():
-    # fall back to recomputing if criteria 1-4 did not run first
+    # criterion 3 leaves these oracle constants cached
     constants = list(_COMPUTED_CONSTANTS)
-    if not constants:
-        for a, b, n in [(1, 1, 2), (1, 2, 3), (1, 1, 3), (1, 2, 4), (2, 3, 4)]:
-            for u, v, w in all_triples(a, b, n):
-                c = oracle_constant(u, v, w)
-                if c:
-                    constants.append(c)
+    for a, b, n in contents_up_to(4):
+        for u, v, w in all_triples(a, b, n):
+            c = oracle_constant(u, v, w)
+            if c:
+                constants.append(c)
     assert constants
     for c in constants:
         assert is_graham_positive(c), c

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from twostep.board import puzzle_to_json
 from twostep.cli import main
+from twostep.labels import default_table_text
 from twostep.mutation import scab_positions
 from twostep.search import enumerate_puzzles
-from twostep.strings import all_strings
+from twostep.strings import all_strings, parse
 
 
 def run(capsys, *argv):
@@ -53,6 +54,19 @@ def test_product_bad_string_is_input_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["product", "--u", "", "--v", ""], id="product"),
+        pytest.param(["puzzles", "--u", "", "--v", "", "--w", ""], id="puzzles"),
+    ],
+)
+def test_empty_string_is_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "input error: empty 012-string\n"
+
+
 def test_puzzles_output(capsys):
     code, out, _ = run(capsys, "puzzles", "--u", "01201", "--v", "10102", "--w", "10210")
     assert code == 0
@@ -73,6 +87,20 @@ def test_puzzles_svg_output(capsys, tmp_path):
     files = list(out_dir.glob("puzzle_*.svg"))
     assert len(files) == 1
     assert "<svg" in files[0].read_text()
+
+
+def test_puzzles_out_is_a_file_is_input_error(capsys, tmp_path):
+    out_file = tmp_path / "taken"
+    out_file.write_text("")
+    code, out, err = run(
+        capsys,
+        "puzzles",
+        "--u", "120", "--v", "120", "--w", "120",
+        "--render", "svg", "--out", str(out_file),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: cannot write to --out")
+    assert "Traceback" not in err
 
 
 def scabbed_puzzle():
@@ -204,6 +232,18 @@ def test_mutate_fuzz_never_tracebacks(scab_file, spec, choice):
     assert "Traceback" not in err.getvalue()
 
 
+def test_mutate_rotated_puzzle_is_semantic_error(capsys, tmp_path):
+    # rotating moves the rhombus off the vertical; the scab flaw at (0, 2)
+    # then met it in recognize_flaw and raised FlawRecognitionError
+    u = parse("0212")
+    [P] = enumerate_puzzles(u, u, u)
+    path = tmp_path / "rotated.json"
+    path.write_text(puzzle_to_json(P.rotate(2)))
+    code, out, err = run(capsys, "mutate", "--puzzle", str(path), "--flaw", "scab:0,2")
+    assert (code, out) == (3, "")
+    assert err == "semantic error: rhombus (1, 2, 1) is not vertical\n"
+
+
 def test_mutate_missing_file_is_input_error(capsys, tmp_path):
     code, _, _ = run(
         capsys, "mutate", "--puzzle", str(tmp_path / "nope.json"), "--flaw", "scab:0,0"
@@ -236,6 +276,41 @@ def test_verify_pieces(capsys):
     data = json.loads(out)
     assert data["pass"] is True
     assert data["suite"] == "pieces"
+
+
+def test_verify_pieces_reports_invalid_tables(capsys, tmp_path, monkeypatch):
+    # the default tables with one rhombus changed leave a scab unresolved
+    path = tmp_path / "tables.txt"
+    path.write_text(
+        default_table_text().replace("rhombus 4 3\n", "rhombus 5 5\n")
+    )
+    monkeypatch.setenv("PUZZLE_TABLE_PATH", str(path))
+    code, out, err = run(capsys, "verify", "--suite", "pieces")
+    assert (code, err) == (1, "")
+    data = json.loads(out)
+    assert data["pass"] is False
+    assert data["checks"][0]["rhs"] == "scab (1, 4, 3, 6) has 0 resolutions"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["product", "--u", "01", "--v", "10"], id="product"),
+        pytest.param(["puzzles", "--u", "01", "--v", "10", "--w", "10"], id="puzzles"),
+        pytest.param(["mutate", "--puzzle", "p.json", "--flaw", "scab:0,0"], id="mutate"),
+        pytest.param(
+            ["quantum", "--m", "1", "--n", "2", "--lambda", "1", "--mu", "1"], id="quantum"
+        ),
+        pytest.param(["verify", "--suite", "pieces"], id="verify-pieces"),
+        pytest.param(["verify", "--suite", "gashes"], id="verify-gashes"),
+    ],
+)
+def test_unreadable_table_override_is_input_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.setenv("PUZZLE_TABLE_PATH", str(tmp_path / "missing.txt"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: cannot read piece tables: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_gashes(capsys):

@@ -131,6 +131,15 @@ def test_mutate_is_involution_for_single_resolution_flaws():
     assert checked > 100
 
 
+def test_mutate_rejects_choice_out_of_range():
+    P = next(P for P in sample_flawed() if P.flaw_type == "temporary")
+    assert len(P.resolutions()) == 3
+    mutate(P, 2)
+    for choice in (-1, 3):
+        with pytest.raises(ValueError, match=r"temporary flaw has 3 resolution\(s\)"):
+            mutate(P, choice)
+
+
 def test_recognize_flaw_round_trip():
     for P in sample_flawed():
         for R in P.resolutions():
