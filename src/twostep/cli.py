@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .algebra import format_poly
 from .board import puzzle_from_json, render_svg, render_text
-from .labels import load_tables
+from .labels import load_tables, tables
 from .strings import (
     String012,
     all_strings,
@@ -434,6 +434,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             load_tables()
         except (OSError, ValueError) as e:
             raise InputError(f"cannot read piece tables: {e}")
+        # `verify --suite pieces` reports invalid tables itself
+        if (args.command, getattr(args, "suite", None)) != ("verify", "pieces"):
+            try:
+                tables()
+            except ValueError as e:
+                raise InputError(str(e))
         return args.func(args)
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)

@@ -183,6 +183,21 @@ class PieceTables:
         return tuple(sorted((r, l, h) for (l, r, h) in self._up))
 
     @cached_property
+    def up_by_left(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """The ``(right, bottom)`` sides of the valid up-cell triples, by
+        left label, sorted."""
+        out: dict[int, tuple[tuple[int, int], ...]] = {}
+        for l, r, h in self.up_list:
+            out[l] = out.get(l, ()) + ((r, h),)
+        return out
+
+    @cached_property
+    def down_by_nw_top(self) -> dict[tuple[int, int], int]:
+        """The NE label of the valid down-cell triple with the given
+        ``(nw, top)``, which is unique by two-side completion."""
+        return {(nw, top): ne for nw, ne, top in self.down_list}
+
+    @cached_property
     def rhombi_by_q(self) -> dict[int, tuple[int, ...]]:
         """The NW-SE labels ``p`` of the rhombi ``(p, q)``, by ``q``."""
         out: dict[int, tuple[int, ...]] = {}

@@ -1,4 +1,15 @@
-"""Enumeration of equivariant puzzles and structure constants.
+"""Structure constants by row transfer, and enumeration of puzzles.
+
+``product_expansion(u, v)`` computes every constant ``C^w_{u,v}`` in one
+top-down pass over the rows: the transfer-matrix view of puzzles
+(Zinn-Justin, "Littlewood-Richardson coefficients and integrable
+tilings", EJC 16, 2009; Knutson-Zinn-Justin, "Schubert puzzles and
+integrability I", arXiv:1706.10019).  The state between rows ``y`` and
+``y+1`` has one item per up-cell of row ``y``: ``("H", label)``, the
+cell's bottom edge, or ``("R", p, q)``, the top half of a vertical
+rhombus whose lower half presets ``B(x, y+1) = p`` and
+``A(x+1, y+1) = q``.  Each state carries the summed weight of the
+partial puzzles above it, and the bottom states are the strings ``w``.
 
 ``enumerate_puzzles(u, v, w)`` lists every puzzle with boundary
 ``(u, v, w)`` by a deterministic row-by-row backtracking sweep: within
@@ -6,11 +17,10 @@ row ``y`` it decides ``U(0,y), D(0,y), U(1,y), ..., U(y,y)`` in order.
 At an up-cell the branch is either a valid up-triangle compatible with
 the already-placed edges, or a vertical rhombus (whose lower half
 presets the two slanted edges of the down-cell underneath).  Down-cells
-are forced by two-side completion.
-
-``structure_constant(u, v, w)`` sums the puzzle weights; it equals the
-recursion-oracle value (see ``strings.oracle_constant``).
-``product_expansion(u, v)`` collects all nonzero constants.
+are forced by two-side completion.  It serves single triples
+(``structure_constant``, which equals the recursion-oracle value, see
+``strings.oracle_constant``) and the listing of puzzles and of tilings
+with one special piece.
 
 >>> from .strings import parse, fmt, extreme_constant
 >>> w = parse("120")
@@ -26,17 +36,18 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .algebra import YPoly
+from .algebra import YPoly, y
 from .board import (
     Edge,
     InvariantViolation,
     Puzzle,
     down_cell_edges,
     rhombus_outer_edges,
+    rhombus_position,
     up_cell_edges,
 )
 from .labels import complete_triangle, tables
-from .strings import String012, all_strings, content, length
+from .strings import String012, all_strings, content
 
 __all__ = [
     "enumerate_puzzles",
@@ -212,21 +223,76 @@ def structure_constant(u: String012, v: String012, w: String012) -> YPoly:
 
 
 def product_expansion(u: String012, v: String012) -> dict[String012, YPoly]:
-    """All nonzero structure constants ``w -> C^w_{u,v}`` for fixed u, v.
-
-    Only strings ``w`` with ``length(w) <= length(u) + length(v)`` can
-    contribute (constants are homogeneous of the complementary degree).
-    """
-    a, b, n = content(u)
-    deg = length(u) + length(v)
+    """All nonzero structure constants ``w -> C^w_{u,v}`` for fixed u, v,
+    in ``all_strings`` order, from one row-transfer pass."""
+    if len(v) != len(u):
+        raise ValueError("boundary strings must have equal length")
+    if content(u) != content(v):
+        return {}
+    bottom = _bottom_rows(u, v)
     out: dict[String012, YPoly] = {}
-    for w in all_strings(a, b, n):
-        if length(w) > deg:
-            continue
-        c = structure_constant(u, v, w)
+    for w in all_strings(*content(u)):
+        c = bottom.get(w)
         if c:
             out[w] = c
     return out
+
+
+def _bottom_rows(u: String012, v: String012) -> dict[tuple[int, ...], YPoly]:
+    """The summed weight of all tilings with left and right borders
+    ``u`` and ``v``, by bottom-row labels (composed labels included).
+
+    Row ``y`` is scanned left to right, one up-cell ``U(x, y)`` and the
+    down-cell ``D(x, y)`` after it per step.  A partial state is
+    ``(items of row y so far, carry, unused items of row y-1)``, where
+    the carry is ``A(x+1, y)``, the left side of the next up-cell.
+    """
+    n = len(u)
+    t = tables()
+    up_by_left, down_by_nw_top, rhombi_by_q = t.up_by_left, t.down_by_nw_top, t.rhombi_by_q
+    states: dict[tuple, YPoly] = {(): YPoly.const(1)}
+    for yy in range(n):
+        frontier = {((), u[n - yy - 1], above): wt for above, wt in states.items()}
+        for x in range(yy + 1):
+            i, j = rhombus_position(x, yy, n)
+            rhombus_weight = y(j) - y(i)
+            step: dict[tuple, YPoly] = {}
+            for (done, carry, above), wt in frontier.items():
+                # B(x, y) is fixed by v on the right border, or by the
+                # lower half of a rhombus from the row above
+                if x == yy:
+                    over, preset = None, v[yy]
+                else:
+                    over = above[0]
+                    preset = over[1] if over[0] == "R" else None
+                options = [
+                    (r, ("H", h)) for r, h in up_by_left.get(carry, ()) if preset in (None, r)
+                ]
+                if yy < n - 1:
+                    options += [
+                        (p, ("R", p, carry))
+                        for p in rhombi_by_q.get(carry, ())
+                        if preset in (None, p)
+                    ]
+                for right, item in options:
+                    if over is None:
+                        nxt = None
+                    elif over[0] == "R":
+                        nxt = over[2]  # D(x, y) is the rhombus's lower half
+                    else:
+                        nxt = down_by_nw_top.get((right, over[1]))
+                        if nxt is None:
+                            continue
+                    key = (done + (item,), nxt, above[1:])
+                    step[key] = step[key] + wt if key in step else wt
+            # every rhombus placed in this step has the same weight, so
+            # it multiplies each merged sum once
+            for key, wt in step.items():
+                if key[0][-1][0] == "R":
+                    step[key] = wt * rhombus_weight
+            frontier = step
+        states = {done: wt for (done, _, _), wt in frontier.items()}
+    return {tuple(label for _, label in row): wt for row, wt in states.items()}
 
 
 def restriction_puzzle(w: String012) -> Puzzle:

@@ -475,8 +475,20 @@ def quantum_product(
     """The equivariant quantum product of two Schubert classes of Gr(m,n).
 
     Returns the map ``(d, nu) -> coefficient`` over all nonzero terms of
-    ``sigma_lam * sigma_mu = sum q^d coeff * sigma_nu``.
+    ``sigma_lam * sigma_mu = sum q^d coeff * sigma_nu``.  The two-step
+    constants come from ``constant_fn(u, v, w)`` if given, else from one
+    ``product_expansion`` per degree, kept for the duration of the call.
     """
+    if constant_fn is None:
+        from .search import product_expansion  # noqa: PLC0415
+
+        expansions: dict[tuple[String012, String012], dict] = {}
+
+        def constant_fn(u: String012, v: String012, w: String012) -> YPoly:
+            if (u, v) not in expansions:
+                expansions[(u, v)] = product_expansion(u, v)
+            return expansions[(u, v)].get(w, YPoly())
+
     out: dict[tuple[int, tuple[int, ...]], YPoly] = {}
     for d in range(min(m, n - m) + 1):
         for nu in all_partitions(m, n):

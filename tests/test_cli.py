@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -311,6 +312,70 @@ def test_unreadable_table_override_is_input_error(capsys, tmp_path, monkeypatch,
     assert (code, out) == (2, "")
     assert err.startswith("input error: cannot read piece tables: ")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["product", "--u", "01", "--v", "10"], id="product"),
+        pytest.param(["puzzles", "--u", "01", "--v", "10", "--w", "10"], id="puzzles"),
+        pytest.param(["mutate", "--puzzle", "p.json", "--flaw", "scab:0,0"], id="mutate"),
+        pytest.param(
+            ["quantum", "--m", "1", "--n", "2", "--lambda", "1", "--mu", "1"], id="quantum"
+        ),
+        pytest.param(["verify", "--suite", "oracle", "--max-n", "2"], id="verify-oracle"),
+    ],
+)
+def test_invalid_table_override_is_input_error(capsys, tmp_path, monkeypatch, argv):
+    # tables that parse but fail validation; `verify --suite pieces`
+    # reports them instead (test_verify_pieces_reports_invalid_tables)
+    path = tmp_path / "tables.txt"
+    path.write_text(
+        default_table_text().replace("rhombus 4 3\n", "rhombus 5 5\n")
+    )
+    monkeypatch.setenv("PUZZLE_TABLE_PATH", str(path))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "input error: invalid piece tables: scab (1, 4, 3, 6) has 0 resolutions\n"
+
+
+# sha256 of stdout, recorded from the enumerator-backed product and
+# quantum product; the row-transfer expansion must reproduce it byte
+# for byte
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        pytest.param(
+            ["product", "--u", "120021", "--v", "102021"],
+            "b999741c7ac32532d39d1035c44deae77a3799c551df54a6e0b925b2025e543f",
+            id="product-n6",
+        ),
+        pytest.param(
+            ["product", "--u", "120021", "--v", "102021", "--format", "json"],
+            "62f93ea36f40d9fb15dbc61e70a0ac531431429388cc126f87ef852af979cfd6",
+            id="product-n6-json",
+        ),
+        pytest.param(
+            ["product", "--u", "1121102", "--v", "1012112"],
+            "6a8255f7561e8ac242759d14da0c36216b55b7d249822d304066fa5bfce6678e",
+            id="product-n7",
+        ),
+        pytest.param(
+            ["product", "--u", "1121102", "--v", "1012112", "--format", "json"],
+            "dc6eea309c2301387b9d55fd394554682627b0b147d09b3ddfe69c6099981f73",
+            id="product-n7-json",
+        ),
+        pytest.param(
+            ["quantum", "--m", "3", "--n", "6", "--lambda", "3,1,1", "--mu", "3,1,1"],
+            "d0e3ebc33a3792dc4f62db62bd3f246a05368290c6f12f32f7fe529fd270d46f",
+            id="quantum-gr36",
+        ),
+    ],
+)
+def test_product_output_pinned(capsys, argv, sha256):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_verify_gashes(capsys):

@@ -1,10 +1,14 @@
 """Tests for puzzle enumeration and structure constants."""
 
 import itertools
+import random
+
+import pytest
 
 from twostep.strings import (
     all_strings,
     content,
+    contents_up_to,
     extreme_constant,
     length,
     oracle_constant,
@@ -74,3 +78,71 @@ def test_enumerated_puzzles_have_right_boundary():
         for P in enumerate_puzzles(u, v, w):
             assert P.boundary() == (u, v, w)
             assert P.validate() == []
+
+
+# -- product_expansion (row transfer) against the enumerator -------------------
+
+
+def enumerated_expansion(u, v):
+    """``product_expansion`` by one enumeration per ``w``: the reference."""
+    return {
+        w: c for w in all_strings(*content(u)) if (c := structure_constant(u, v, w))
+    }
+
+
+def assert_matches_enumerator(u, v):
+    got, want = product_expansion(u, v), enumerated_expansion(u, v)
+    assert got == want, (u, v)
+    assert list(got) == list(want), (u, v)
+
+
+def test_expansion_matches_enumerator_up_to_4():
+    for a, b, n in contents_up_to(4):
+        for u, v in itertools.product(all_strings(a, b, n), repeat=2):
+            assert_matches_enumerator(u, v)
+
+
+def test_expansion_matches_enumerator_n5_sample():
+    rng = random.Random(5)
+    pairs = [
+        (u, v)
+        for a, b, n in contents_up_to(5)
+        if n == 5
+        for u, v in itertools.product(all_strings(a, b, n), repeat=2)
+    ]
+    for u, v in rng.sample(pairs, 150):
+        assert_matches_enumerator(u, v)
+
+
+@pytest.mark.parametrize(
+    "u, v",
+    [
+        ("012110", "010121"),
+        ("120002", "002021"),
+        ("200012", "120020"),
+        ("0222121", "2201212"),
+        ("0102212", "0120122"),
+    ],
+)
+def test_expansion_matches_enumerator_n6_n7(u, v):
+    assert_matches_enumerator(parse(u), parse(v))
+
+
+def test_expansion_rejects_unequal_lengths():
+    with pytest.raises(ValueError, match="^boundary strings must have equal length$"):
+        product_expansion(parse("012"), parse("0121"))
+
+
+def test_expansion_of_mismatched_contents_is_empty():
+    assert product_expansion(parse("012"), parse("122")) == {}
+
+
+def test_expansion_keys_in_all_strings_order():
+    u, v = parse("1201020"), parse("0021120")
+    exp = product_expansion(u, v)
+    assert len(exp) == 19
+    assert list(exp) == [w for w in all_strings(*content(u)) if w in exp]
+
+
+def test_expansion_n1():
+    assert product_expansion((0,), (0,)) == {(0,): 1}

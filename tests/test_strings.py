@@ -1,6 +1,8 @@
 """Tests for 012-strings, the Bruhat order, and the recursion oracle."""
 
+import itertools
 import math
+import random
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,8 +26,10 @@ from twostep.strings import (
     oracle_constant,
     parse,
     partition_to_string,
+    quantum_product,
     string_to_partition,
 )
+from twostep.search import structure_constant
 
 strings = st.text(alphabet="012", min_size=1, max_size=8)
 
@@ -165,3 +169,20 @@ class TestQuantumHelpers:
         s = partition_to_string((3, 2), 2, 5)
         assert content(jd_map(s, 1)) == (1, 3, 5)
         assert fmt(jd_map(parse("20220202"), 2)) == "10121212"
+
+
+def test_quantum_product_matches_enumerator():
+    # one expansion per degree against one enumeration per term, every
+    # pair on three Grassmannians and a fixed sample on Gr(3,6)
+    cases = [
+        (m, n, lam, mu)
+        for m, n in ((1, 3), (2, 4), (2, 5))
+        for lam, mu in itertools.product(all_partitions(m, n), repeat=2)
+    ]
+    gr36 = list(itertools.product(all_partitions(3, 6), repeat=2))
+    cases += [(3, 6, lam, mu) for lam, mu in random.Random(36).sample(gr36, 20)]
+    for m, n, lam, mu in cases:
+        got = quantum_product(lam, mu, m, n)
+        want = quantum_product(lam, mu, m, n, constant_fn=structure_constant)
+        assert got == want, (m, n, lam, mu)
+        assert list(got) == list(want), (m, n, lam, mu)
