@@ -24,7 +24,6 @@ True
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -195,6 +194,14 @@ class YPoly:
                     d[_strip(m)] = d.get(_strip(m), 0) + c
         self.terms = {m: c for m, c in d.items() if c}
 
+    @classmethod
+    def _canonical(cls, terms: Mapping[Mono, int]) -> "YPoly":
+        """Wrap ``terms`` whose monomials are already stripped, dropping
+        zero coefficients; the ring operations build their results here."""
+        p = cls.__new__(cls)
+        p.terms = {m: c for m, c in terms.items() if c}
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -215,7 +222,7 @@ class YPoly:
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self) -> "YPoly":
-        return YPoly({m: -c for m, c in self.terms.items()})
+        return YPoly._canonical({m: -c for m, c in self.terms.items()})
 
     def __add__(self, other) -> "YPoly":
         if isinstance(other, int):
@@ -223,7 +230,7 @@ class YPoly:
         d = dict(self.terms)
         for m, c in other.terms.items():
             d[m] = d.get(m, 0) + c
-        return YPoly(d)
+        return YPoly._canonical(d)
 
     __radd__ = __add__
 
@@ -237,13 +244,13 @@ class YPoly:
 
     def __mul__(self, other) -> "YPoly":
         if isinstance(other, int):
-            return YPoly({m: other * c for m, c in self.terms.items()})
+            return YPoly._canonical({m: other * c for m, c in self.terms.items()})
         d: dict[Mono, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
                 d[m] = d.get(m, 0) + c1 * c2
-        return YPoly(d)
+        return YPoly._canonical(d)
 
     __rmul__ = __mul__
 
@@ -400,7 +407,10 @@ def exact_divide(p: YPoly, l: YPoly) -> YPoly:
 
     ``l`` must be a nonzero homogeneous linear form ``sum c_i y_i``.
     The quotient is computed by synthetic division in the highest variable
-    of ``l`` with rational arithmetic, then checked to be integral.
+    ``y_k`` of ``l``, in integers: each quotient coefficient is a
+    ``divmod`` by ``c_k``, and a nonzero remainder of that ``divmod``
+    (a non-integral quotient) or of the whole division raises
+    :class:`NotDivisible`.
 
     >>> exact_divide((y(4) - y(1)) * (y(4) - y(3)), y(4) - y(1)) == y(4) - y(3)
     True
@@ -415,53 +425,32 @@ def exact_divide(p: YPoly, l: YPoly) -> YPoly:
         raise ValueError("divisor must be a nonzero homogeneous linear form")
     if not p:
         return YPoly()
-    pivot = max(len(m) for m in l.terms)  # highest variable index in l
-    c_pivot = l.terms[_strip((0,) * (pivot - 1) + (1,))]
-    rest = l - YPoly({(0,) * (pivot - 1) + (1,): c_pivot})
+    k = max(len(m) for m in l.terms)  # highest variable index in l
+    c_pivot = l.terms[(0,) * (k - 1) + (1,)]
+    rest = [(m, c) for m, c in l.terms.items() if len(m) < k]
 
-    def split(mono: Mono) -> tuple[int, Mono]:
-        if len(mono) < pivot:
-            return 0, mono
-        e = mono[pivot - 1]
-        reduced = list(mono)
-        reduced[pivot - 1] = 0
-        return e, _strip(reduced)
-
-    # p as a polynomial in y_pivot with Fraction-coefficient polys
-    coeffs: dict[int, dict[Mono, Fraction]] = {}
+    # the terms of p grouped by their exponent of y_k
+    rows: dict[int, dict[Mono, int]] = {}
     for m, c in p.terms.items():
-        e, red = split(m)
-        coeffs.setdefault(e, {})[red] = coeffs.setdefault(e, {}).get(red, Fraction(0)) + c
-    top = max(coeffs)
-    quot: dict[int, dict[Mono, Fraction]] = {}
-    for k in range(top, 0, -1):
-        qk = {m: c / c_pivot for m, c in coeffs.get(k, {}).items() if c}
-        if qk:
-            quot[k - 1] = qk
-        # subtract qk * rest from the y_pivot^(k-1) coefficient
-        if qk and rest:
-            tgt = coeffs.setdefault(k - 1, {})
-            for m1, c1 in qk.items():
-                for m2, c2 in rest.terms.items():
-                    e2, red2 = split(m2)
-                    if e2:
-                        raise AssertionError("pivot must be highest in divisor")
-                    m = _mono_mul(m1, red2)
-                    tgt[m] = tgt.get(m, Fraction(0)) - c1 * c2
-        coeffs.pop(k, None)
-    remainder = {m: c for m, c in coeffs.get(0, {}).items() if c}
-    if remainder:
-        raise NotDivisible("nonzero remainder")
+        rows.setdefault(m[k - 1] if len(m) >= k else 0, {})[m] = c
     out: dict[Mono, int] = {}
-    for k, qk in quot.items():
-        for m, c in qk.items():
-            if c:
-                if c.denominator != 1:
-                    raise NotDivisible("non-integral quotient")
-                full = list(m) + [0] * (max(0, pivot - len(m)))
-                full[pivot - 1] += k
-                out[_strip(full)] = out.get(_strip(full), 0) + int(c)
-    return YPoly(out)
+    for e in range(max(rows), 0, -1):
+        below = rows.setdefault(e - 1, {})
+        for m, c in rows.pop(e, {}).items():
+            if not c:
+                continue
+            q, r = divmod(c, c_pivot)
+            if r:
+                raise NotDivisible("non-integral quotient")
+            qm = _strip(m[: k - 1] + (e - 1,) + m[k:])
+            out[qm] = q
+            # subtract q * y^qm * rest, whose terms have y_k-degree e - 1
+            for m2, c2 in rest:
+                mm = _mono_mul(qm, m2)
+                below[mm] = below.get(mm, 0) - q * c2
+    if any(rows[0].values()):
+        raise NotDivisible("nonzero remainder")
+    return YPoly._canonical(out)
 
 
 # ---------------------------------------------------------------------------

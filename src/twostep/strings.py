@@ -8,7 +8,10 @@ The oracle computes structure constants from three identities only --
 the closed product formula for the extreme case ``u = v = w`` and the
 divisor-associativity recursions in ``u`` and in ``v`` -- entirely
 independently of the puzzle enumeration, so the two routes cross-check
-each other.
+each other.  Each recursion step sums its right-hand side in one dict of
+monomials, returns zero when that sum is zero, and otherwise divides it
+exactly, in integers, by ``C_u - C_w`` with the deltas specialized to
+``DELTA_SPEC``.
 
 >>> length((1, 2, 0, 2, 1, 0))
 8
@@ -23,7 +26,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, Iterator, Optional
 
-from .algebra import Tower, YPoly, exact_divide, y
+from .algebra import Cyc12, Tower, YPoly, exact_divide, y
 
 __all__ = [
     "parse",
@@ -38,7 +41,6 @@ __all__ = [
     "cocovers",
     "bruhat_leq",
     "c_form",
-    "c_form_specialized",
     "extreme_constant",
     "oracle_constant",
     "chevalley",
@@ -123,9 +125,16 @@ def length(u: String012) -> int:
     >>> length(parse("210"))
     3
     """
-    return sum(
-        1 for i in range(len(u)) for j in range(i + 1, len(u)) if u[i] > u[j]
-    )
+    ones = twos = inversions = 0  # letters 1 and 2 seen so far
+    for letter in u:
+        if letter == 0:
+            inversions += ones + twos
+        elif letter == 1:
+            inversions += twos
+            ones += 1
+        else:
+            twos += 1
+    return inversions
 
 
 @dataclass(frozen=True)
@@ -246,20 +255,10 @@ def c_form(u: String012) -> Tower:
     ...       + Tower.delta(2) * Tower.from_ypoly(y(4)))
     True
     """
-    out = Tower.zero()
-    for i, letter in enumerate(u, start=1):
-        out = out + Tower.delta(letter) * Tower.from_ypoly(y(i))
-    return out
-
-
-def c_form_specialized(
-    u: String012, spec: tuple[int, int, int] = DELTA_SPEC
-) -> YPoly:
-    """``C_u`` with integers substituted for the deltas."""
-    out = YPoly()
-    for i, letter in enumerate(u, start=1):
-        out = out + spec[letter] * y(i)
-    return out
+    one = Cyc12.from_int(1)
+    return Tower(
+        {(letter, (0,) * (i - 1) + (1,)): one for i, letter in enumerate(u, start=1)}
+    )
 
 
 def extreme_constant(w: String012) -> YPoly:
@@ -294,7 +293,8 @@ def oracle_constant(u: String012, v: String012, w: String012) -> YPoly:
     >>> oracle_constant(u, v, parse("12001")) == y(4) - y(1)
     True
     """
-    if content(u) != content(v) or content(u) != content(w):
+    type_u = content(u)
+    if type_u != content(v) or type_u != content(w):
         raise ValueError("mismatched string types")
     deg = length(u) + length(v) - length(w)
     if deg < 0:
@@ -308,14 +308,24 @@ def oracle_constant(u: String012, v: String012, w: String012) -> YPoly:
     #   (C_u - C_w) C^w_(u,v)
     #     = sum_(w'->w) delta(w'/w) C^(w')_(u,v)
     #       - sum_(u->u') delta(u/u') C^w_(u',v)
-    rhs = YPoly()
-    for c in cocovers(w):
-        rhs = rhs + c.delta_spec() * oracle_constant(u, v, c.before)
-    for c in covers(u):
-        rhs = rhs - c.delta_spec() * oracle_constant(c.after, v, w)
-    divisor = c_form_specialized(u) - c_form_specialized(w)
+    # accumulated in one dict: k * C for each (k, C) on the right
+    terms: dict[tuple[int, ...], int] = {}
+    parts = [(c.delta_spec(), (u, v, c.before)) for c in cocovers(w)]
+    parts += [(-c.delta_spec(), (c.after, v, w)) for c in covers(u)]
+    for k, triple in parts:
+        for m, coeff in oracle_constant(*triple).terms.items():
+            terms[m] = terms.get(m, 0) + k * coeff
+    rhs = YPoly(terms)
     if not rhs:
-        return YPoly()
+        return rhs
+    # C_u - C_w at DELTA_SPEC, nonzero as u != w
+    divisor = YPoly(
+        {
+            (0,) * i + (1,): DELTA_SPEC[a] - DELTA_SPEC[b]
+            for i, (a, b) in enumerate(zip(u, w))
+            if a != b
+        }
+    )
     return exact_divide(rhs, divisor)
 
 

@@ -1,5 +1,7 @@
 """Unit and property tests for the exact arithmetic layer."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from twostep.algebra import (
     y,
     zeta_pow,
 )
+from twostep.strings import length
 
 cyc = st.builds(Cyc12, st.lists(st.integers(-9, 9), min_size=4, max_size=4))
 
@@ -90,12 +93,45 @@ class TestYPoly:
         assert exact_divide(p * l, l) == p
 
     def test_exact_divide_failure(self):
-        with pytest.raises(NotDivisible):
+        with pytest.raises(NotDivisible, match="nonzero remainder"):
             exact_divide(y(1), y(1) - y(2))
+        with pytest.raises(NotDivisible, match="non-integral quotient"):
+            exact_divide(y(2), 2 * y(2))
+
+    @settings(derandomize=True)
+    @given(ypolys(), ypolys(), st.integers(-3, 3))
+    def test_results_are_canonical(self, p, q, k):
+        for r in (p + q, p - q, p * q, -p, k * p, p * k):
+            assert all(r.terms.values())
+            assert all(m[-1] for m in r.terms if m)
+            rebuilt = YPoly(dict(r.terms))
+            assert r == rebuilt and hash(r) == hash(rebuilt)
+
+    @settings(derandomize=True)
+    @given(
+        ypolys(),
+        st.integers(1, 4),
+        st.sampled_from([2, -2]),
+        st.lists(st.sampled_from([-2, -1, 0, 1, 2]), min_size=3, max_size=3),
+    )
+    def test_exact_divide_pivot_two(self, p, k, pivot, lower):
+        # C_u - C_w at the delta specialization (2, 1, 0): coefficients
+        # in {-2, ..., 2}, so the pivot coefficient can be 2 or -2
+        l = pivot * y(k)
+        for i, c in enumerate(lower[: k - 1], start=1):
+            l = l + c * y(i)
+        assert exact_divide(p * l, l) == p
 
     def test_substitute(self):
         p = (y(1) - y(2)) * y(3)
         assert p.substitute({1: y(2)}) == YPoly()
+
+
+def test_length_is_inversion_count():
+    for n in range(7):
+        for u in itertools.product((0, 1, 2), repeat=n):
+            pairs = itertools.combinations(u, 2)
+            assert length(u) == sum(1 for a, b in pairs if a > b), u
 
 
 class TestGraham:

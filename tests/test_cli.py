@@ -378,6 +378,16 @@ def test_product_output_pinned(capsys, argv, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+def test_verify_oracle_output_pinned(capsys):
+    # sha256 of stdout, recorded before the oracle's integer-only rewrite
+    code, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-n", "3")
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "d738f2368caf5379c174db5ecec29effbb1681205b8561575061a360c8cdc039"
+    )
+
+
 def test_verify_gashes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "gashes")
     assert code == 0

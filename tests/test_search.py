@@ -55,6 +55,37 @@ def test_matches_oracle_small():
         assert structure_constant(u, v, w) == oracle_constant(u, v, w)
 
 
+def test_matches_oracle_n5_sample():
+    rng = random.Random(7)
+    triples = [
+        (u, v, w)
+        for a, b, n in contents_up_to(5)
+        if n == 5
+        for u, v, w in itertools.product(all_strings(a, b, n), repeat=3)
+    ]
+    for u, v, w in rng.sample(triples, 200):
+        assert structure_constant(u, v, w) == oracle_constant(u, v, w), (u, v, w)
+
+
+@pytest.mark.parametrize(
+    "u, v, w",
+    [
+        ("001211", "210101", "211010"),
+        ("202101", "201210", "221010"),
+        ("101212", "102112", "112102"),
+        ("212022", "202212", "222120"),
+        ("121202", "022121", "122210"),
+        ("11202", "20121", "21210"),
+    ],
+)
+def test_matches_oracle_heavy_triples(u, v, w):
+    # the costliest crosscheck triples of the benchmark, each from a cold
+    # oracle cache
+    oracle_constant.cache_clear()
+    u, v, w = parse(u), parse(v), parse(w)
+    assert structure_constant(u, v, w) == oracle_constant(u, v, w)
+
+
 def test_identity_is_unit():
     S = all_strings(1, 2, 3)
     e = parse("012")
