@@ -12,8 +12,9 @@ Subpackages/modules:
   structure constants, the Chevalley rule, and the quantum layer.
 - ``board``: triangular-lattice geometry, puzzles, boundaries, weights,
   serialization and rendering.
-- ``search``: backtracking enumeration of equivariant puzzles, structure
-  constants and product expansions.
+- ``search``: one row-state engine for equivariant puzzles: product
+  expansions by a row-transfer pass, and puzzle listings and single
+  structure constants by a walk over the same states.
 - ``mutation``: directed gashes, propagation, gash classes, flaws and
   resolutions, the mutation involution, mutation graphs, and the
   left-to-right sliding bijection.

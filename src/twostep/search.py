@@ -1,26 +1,26 @@
-"""Structure constants by row transfer, and enumeration of puzzles.
+"""Structure constants and puzzle listings from one row-state engine.
 
-``product_expansion(u, v)`` computes every constant ``C^w_{u,v}`` in one
-top-down pass over the rows: the transfer-matrix view of puzzles
-(Zinn-Justin, "Littlewood-Richardson coefficients and integrable
-tilings", EJC 16, 2009; Knutson-Zinn-Justin, "Schubert puzzles and
-integrability I", arXiv:1706.10019).  The state between rows ``y`` and
-``y+1`` has one item per up-cell of row ``y``: ``("H", label)``, the
-cell's bottom edge, or ``("R", p, q)``, the top half of a vertical
-rhombus whose lower half presets ``B(x, y+1) = p`` and
-``A(x+1, y+1) = q``.  Each state carries the summed weight of the
-partial puzzles above it, and the bottom states are the strings ``w``.
+A tiling is built top down, one step per up-cell: the step at ``x`` in
+row ``y`` places ``U(x, y)`` and completes the down-cell ``D(x, y)``
+after it.  The state between steps is ``(items of row y so far, carry,
+unused items of row y-1)``, where the carry is ``A(x+1, y)`` and an
+item is ``("H", label)``, the bottom edge of an up-cell, or
+``("R", p, q)``, the top half of a vertical rhombus whose lower half
+presets ``B(x, y+1) = p`` and ``A(x+1, y+1) = q``.  Both readers of
+the states take their moves from ``_move_fn``:
 
-``enumerate_puzzles(u, v, w)`` lists every puzzle with boundary
-``(u, v, w)`` by a deterministic row-by-row backtracking sweep: within
-row ``y`` it decides ``U(0,y), D(0,y), U(1,y), ..., U(y,y)`` in order.
-At an up-cell the branch is either a valid up-triangle compatible with
-the already-placed edges, or a vertical rhombus (whose lower half
-presets the two slanted edges of the down-cell underneath).  Down-cells
-are forced by two-side completion.  It serves single triples
-(``structure_constant``, which equals the recursion-oracle value, see
-``strings.oracle_constant``) and the listing of puzzles and of tilings
-with one special piece.
+- ``product_expansion(u, v)`` computes every ``C^w_{u,v}`` in one pass,
+  merging equal states after every step and summing their weights; the
+  bottom states are the strings ``w``.  This is the transfer-matrix view
+  of puzzles (Zinn-Justin, "Littlewood-Richardson coefficients and
+  integrable tilings", EJC 16, 2009; Knutson-Zinn-Justin, "Schubert
+  puzzles and integrability I", arXiv:1706.10019).
+- ``enumerate_puzzles(u, v, w)`` walks the states depth first with the
+  bottom row fixed to ``w``, and ``enumerate_one_special`` is the same
+  walk with one more state bit, "the special piece is used".  They serve
+  single triples (``structure_constant``, which equals the
+  recursion-oracle value, see ``strings.oracle_constant``) and the
+  mutation and aura checks.
 
 >>> from .strings import parse, fmt, extreme_constant
 >>> w = parse("120")
@@ -34,18 +34,10 @@ True
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .algebra import YPoly, y
-from .board import (
-    Edge,
-    InvariantViolation,
-    Puzzle,
-    down_cell_edges,
-    rhombus_outer_edges,
-    rhombus_position,
-    up_cell_edges,
-)
+from .board import Edge, InvariantViolation, Puzzle, rhombus_position
 from .labels import complete_triangle, tables
 from .strings import String012, all_strings, content
 
@@ -59,19 +51,57 @@ __all__ = [
 ]
 
 
-def _cell_order(n: int) -> list[tuple[str, int, int]]:
-    cells: list[tuple[str, int, int]] = []
-    for yy in range(n):
-        for x in range(yy + 1):
-            cells.append(("U", x, yy))
-            if x < yy:
-                cells.append(("D", x, yy))
-    return cells
+def _move_fn(special_up=frozenset(), special_down=frozenset()) -> Callable[..., list]:
+    """``moves(carry, over, preset, bottom, special)``, memoised for one call:
+    the moves ``(B(x, y), item of U(x, y), A(x+1, y), "U"|"D"|None)`` of a
+    step, the last naming the cell of a special piece.  ``over`` is the
+    item above ``D(x, y)`` and ``preset`` the label ``B(x, y)`` must have
+    (None if free); ``bottom`` forbids rhombi, ``special`` allows special
+    pieces.  Order: ordinary up-triangles, special ones sorted, rhombi;
+    under each, the ordinary down-triangle, then special ones sorted.
+    """
+    t = tables()
+    up_by_left, down_by_nw_top, rhombi_by_q = t.up_by_left, t.down_by_nw_top, t.rhombi_by_q
+    sp_up, sp_down = sorted(special_up), sorted(special_down)
+    memo: dict[tuple, list] = {}
+
+    def moves(carry, over, preset, bottom, special) -> list:
+        key = (carry, over, preset, bottom, special)
+        if key in memo:
+            return memo[key]
+        ups = [(r, ("H", h), None) for r, h in up_by_left.get(carry, ())]
+        if special:
+            ups += [(r, ("H", h), "U") for l, r, h in sp_up if l == carry]
+        if not bottom:
+            ups += [(p, ("R", p, carry), None) for p in rhombi_by_q.get(carry, ())]
+        out = memo[key] = []
+        for right, item, sp in ups:
+            if preset not in (None, right):
+                continue
+            if over is None or over[0] == "R":
+                # no D(x, y), or the lower half of the rhombus above
+                out.append((right, item, None if over is None else over[2], sp))
+                continue
+            downs = [(down_by_nw_top.get((right, over[1])), sp)]
+            if special and sp is None:
+                downs += [(ne, "D") for nw, ne, top in sp_down if (nw, top) == (right, over[1])]
+            out += [(right, item, ne, s) for ne, s in downs if ne is not None]
+        return out
+
+    return moves
+
+
+def _above(x: int, yy: int, above: tuple, v: String012) -> tuple:
+    """``(over, preset)`` at step ``x`` of row ``y``: ``B(x, y)`` is fixed
+    by ``v`` on the right border, or by a rhombus from the row above."""
+    if x == yy:
+        return None, v[yy]
+    return above[0], (above[0][1] if above[0][0] == "R" else None)
 
 
 def enumerate_puzzles(u: String012, v: String012, w: String012) -> Iterator[Puzzle]:
     """Yield all puzzles with boundary ``(u, v, w)`` in deterministic order."""
-    for P, _ in _enumerate(u, v, w):
+    for P, _ in _walk(u, v, w, None):
         yield _checked(P)
 
 
@@ -93,121 +123,79 @@ def enumerate_one_special(
     uses the ordinary pieces everywhere except at exactly one cell, which
     holds a triple from ``special_up`` (as ``(left, right, bottom)``) or
     ``special_down`` (as ``(nw, ne, top)``)."""
-    for P, cell in _enumerate(u, v, w, special_up, special_down):
-        if cell is not None:
-            yield P, cell
+    yield from _walk(u, v, w, _move_fn(special_up, special_down))
 
 
-def _enumerate(
-    u: String012,
-    v: String012,
-    w: String012,
-    special_up: set[tuple[int, int, int]] | None = None,
-    special_down: set[tuple[int, int, int]] | None = None,
+def _walk(
+    u: String012, v: String012, w: String012, moves: Callable[..., list] | None
 ) -> Iterator[tuple[Puzzle, tuple[str, int, int] | None]]:
+    """Each tiling of ``(u, v, w)`` with no special piece (``moves`` is
+    None) or exactly one, with its special cell, in the order of the
+    moves.  A ``(step, state, special used)`` from which no tiling was
+    found goes into ``dead`` and is not entered again."""
     n = len(u)
     if not (len(v) == len(w) == n):
         raise ValueError("boundary strings must have equal length")
     if not (content(u) == content(v) == content(w)):
         return
-    t = tables()
-    up_list, down_list, rhombi_by_q = t.up_list, t.down_list, t.rhombi_by_q
-    sp_up = sorted(special_up or ())
-    sp_down = sorted(special_down or ())
+    need = moves is not None
+    moves = moves or _move_fn()
+    steps = [(x, yy) for yy in range(n) for x in range(yy + 1)]
+    path: list[tuple] = []
+    dead: set[tuple] = set()
+    found = 0
 
-    labels: dict[Edge, int] = {}
-    for i in range(1, n + 1):
-        labels[("A", 0, n - i)] = u[i - 1]
-        labels[("B", i - 1, i - 1)] = v[i - 1]
-        labels[("H", i - 1, n - 1)] = w[i - 1]
-    covered: set[tuple[int, int]] = set()
-    rhombi: list[tuple[int, int, int]] = []
-    special: list[tuple[str, int, int]] = []
-    cells = _cell_order(n)
-
-    def set_edges(pairs: list[tuple[Edge, int]]) -> list[Edge] | None:
-        """Place labels, returning the edges newly set (None on conflict)."""
-        placed: list[Edge] = []
-        for e, val in pairs:
-            if e in labels:
-                if labels[e] != val:
-                    for d in placed:
-                        del labels[d]
-                    return None
-            else:
-                labels[e] = val
-                placed.append(e)
-        return placed
-
-    def solve(idx: int) -> Iterator[tuple[Puzzle, tuple[str, int, int] | None]]:
-        if idx == len(cells):
-            P = Puzzle(n, dict(labels), frozenset(rhombi))
-            yield P, (special[0] if special else None)
+    def walk(k, done, carry, above, used):
+        nonlocal found
+        if k == len(steps):
+            if used == need:
+                found += 1
+                yield _build(u, v, w, zip(steps, path))
             return
-        kind, x, yy = cells[idx]
-        if kind == "D":
-            if (x, yy) in covered:
-                yield from solve(idx + 1)
-                return
-            nw_e, ne_e, top_e = down_cell_edges(x, yy)
-            nw, top = labels[nw_e], labels[top_e]
-            for dnw, dne, dtop in down_list:
-                if dnw == nw and dtop == top:
-                    placed = set_edges([(ne_e, dne)])
-                    if placed is not None:
-                        yield from solve(idx + 1)
-                        for d in placed:
-                            del labels[d]
-            if not special:
-                for dnw, dne, dtop in sp_down:
-                    if dnw == nw and dtop == top:
-                        placed = set_edges([(ne_e, dne)])
-                        if placed is not None:
-                            special.append(("D", x, yy))
-                            yield from solve(idx + 1)
-                            special.pop()
-                            for d in placed:
-                                del labels[d]
+        key = (k, done, carry, above, used)
+        if key in dead:
             return
-        a_e, b_e, h_e = up_cell_edges(x, yy)
-        left = labels[a_e]
-        # option 1: plain up-triangle
-        for l, r, h in up_list:
-            if l != left:
+        before = found
+        x, yy = steps[k]
+        bottom = yy == n - 1
+        for move in moves(carry, *_above(x, yy, above, v), bottom, need and not used):
+            right, item, ne, sp = move
+            if bottom and item[1] != w[x]:
                 continue
-            placed = set_edges([(b_e, r), (h_e, h)])
-            if placed is not None:
-                yield from solve(idx + 1)
-                for d in placed:
-                    del labels[d]
-        if not special:
-            for l, r, h in sp_up:
-                if l != left:
-                    continue
-                placed = set_edges([(b_e, r), (h_e, h)])
-                if placed is not None:
-                    special.append(("U", x, yy))
-                    yield from solve(idx + 1)
-                    special.pop()
-                    for d in placed:
-                        del labels[d]
-        # option 2: top half of a vertical rhombus (needs a row below,
-        # and its bottom edge must still be free)
-        if yy < n - 1 and h_e not in labels:
-            r = (x, yy, 0)
-            (pb1, pb2), (_, qa2) = rhombus_outer_edges(r)
-            for p in rhombi_by_q.get(left, ()):
-                placed = set_edges([(pb1, p), (pb2, p), (qa2, left)])
-                if placed is not None:
-                    rhombi.append(r)
-                    covered.add((x, yy + 1))
-                    yield from solve(idx + 1)
-                    covered.discard((x, yy + 1))
-                    rhombi.pop()
-                    for d in placed:
-                        del labels[d]
+            path.append(move)
+            used_next = used or sp is not None
+            if x < yy:
+                yield from walk(k + 1, done + (item,), ne, above[1:], used_next)
+            else:
+                carry_next = None if bottom else u[n - yy - 2]
+                yield from walk(k + 1, (), carry_next, done + (item,), used_next)
+            path.pop()
+        if found == before:
+            dead.add(key)
 
-    yield from solve(0)
+    yield from walk(0, (), u[n - 1] if n else None, (), False)
+
+
+def _build(u, v, w, steps_and_moves) -> tuple[Puzzle, tuple[str, int, int] | None]:
+    """The tiling given by the moves of every step, and its special cell."""
+    n = len(u)
+    labels: dict[Edge, int] = {}
+    for i in range(n):
+        labels.update({("A", 0, n - 1 - i): u[i], ("B", i, i): v[i], ("H", i, n - 1): w[i]})
+    rhombi, cell = [], None
+    for (x, yy), (right, item, ne, sp) in steps_and_moves:
+        labels[("B", x, yy)] = right
+        if item[0] == "H":
+            labels[("H", x, yy)] = item[1]
+        else:
+            labels[("B", x, yy + 1)] = right
+            labels[("A", x + 1, yy + 1)] = item[2]
+            rhombi.append((x, yy, 0))
+        if ne is not None:
+            labels[("A", x + 1, yy)] = ne
+        if sp is not None:
+            cell = (sp, x, yy)
+    return Puzzle(n, labels, frozenset(rhombi)), cell
 
 
 def count_puzzles(u: String012, v: String012, w: String012) -> int:
@@ -240,50 +228,20 @@ def product_expansion(u: String012, v: String012) -> dict[String012, YPoly]:
 
 def _bottom_rows(u: String012, v: String012) -> dict[tuple[int, ...], YPoly]:
     """The summed weight of all tilings with left and right borders
-    ``u`` and ``v``, by bottom-row labels (composed labels included).
-
-    Row ``y`` is scanned left to right, one up-cell ``U(x, y)`` and the
-    down-cell ``D(x, y)`` after it per step.  A partial state is
-    ``(items of row y so far, carry, unused items of row y-1)``, where
-    the carry is ``A(x+1, y)``, the left side of the next up-cell.
-    """
+    ``u`` and ``v``, by bottom-row labels (composed labels included)."""
     n = len(u)
-    t = tables()
-    up_by_left, down_by_nw_top, rhombi_by_q = t.up_by_left, t.down_by_nw_top, t.rhombi_by_q
+    moves = _move_fn()
     states: dict[tuple, YPoly] = {(): YPoly.const(1)}
     for yy in range(n):
         frontier = {((), u[n - yy - 1], above): wt for above, wt in states.items()}
+        bottom = yy == n - 1
         for x in range(yy + 1):
             i, j = rhombus_position(x, yy, n)
             rhombus_weight = y(j) - y(i)
             step: dict[tuple, YPoly] = {}
             for (done, carry, above), wt in frontier.items():
-                # B(x, y) is fixed by v on the right border, or by the
-                # lower half of a rhombus from the row above
-                if x == yy:
-                    over, preset = None, v[yy]
-                else:
-                    over = above[0]
-                    preset = over[1] if over[0] == "R" else None
-                options = [
-                    (r, ("H", h)) for r, h in up_by_left.get(carry, ()) if preset in (None, r)
-                ]
-                if yy < n - 1:
-                    options += [
-                        (p, ("R", p, carry))
-                        for p in rhombi_by_q.get(carry, ())
-                        if preset in (None, p)
-                    ]
-                for right, item in options:
-                    if over is None:
-                        nxt = None
-                    elif over[0] == "R":
-                        nxt = over[2]  # D(x, y) is the rhombus's lower half
-                    else:
-                        nxt = down_by_nw_top.get((right, over[1]))
-                        if nxt is None:
-                            continue
-                    key = (done + (item,), nxt, above[1:])
+                for _, item, ne, _ in moves(carry, *_above(x, yy, above, v), bottom, False):
+                    key = (done + (item,), ne, above[1:])
                     step[key] = step[key] + wt if key in step else wt
             # every rhombus placed in this step has the same weight, so
             # it multiplies each merged sum once

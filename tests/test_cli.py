@@ -378,6 +378,40 @@ def test_product_output_pinned(capsys, argv, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+# sha256 of stdout, recorded from the backtracking enumerator; the walk
+# over the row states must list the same puzzles in the same order
+@pytest.mark.parametrize(
+    "u, v, w, sha256",
+    [
+        pytest.param(
+            "01201",
+            "10102",
+            "10210",
+            "fc41e0dc3660a786adf5a043f949078f178a9fde0c39e070523e4dd66d95e559",
+            id="2-puzzles",
+        ),
+        pytest.param(
+            "202101",
+            "201210",
+            "221010",
+            "1c5183d958dc3fe99897ccca902f202d291c8e9d0939bca56c7b1298c84cb10d",
+            id="9-puzzles",
+        ),
+        pytest.param(
+            "212021",
+            "212210",
+            "222110",
+            "adc4a09c5cd70b6c08d079f3681381123a4cbfc9852e083b59c973529020f4f9",
+            id="35-puzzles",
+        ),
+    ],
+)
+def test_puzzles_output_pinned(capsys, u, v, w, sha256):
+    code, out, _ = run(capsys, "puzzles", "--u", u, "--v", v, "--w", w)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_verify_oracle_output_pinned(capsys):
     # sha256 of stdout, recorded before the oracle's integer-only rewrite
     code, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-n", "3")
