@@ -17,12 +17,13 @@ sides; opposite sides always agree.  The eight canonical rhombi are::
     (1,0)  (2,1)  (2,0)  (2,3)  (4,0)  (4,3)  (6,0)  (2,7)
 
 Pieces may be rotated but never reflected.  :class:`PieceTables` owns
-the two tables and every table derived from them (lookup indices, gash
-classes, temporary-piece and scab tables, sliding gash sets, auras),
-each computed once per table value on first use.  :func:`validate_tables`
-gates everything downstream: it re-checks the counts, the
-one-replacement lemma behind gash propagation, label coverage,
-uniqueness of completion from two known sides, and the derived tables.
+the two tables and every table derived from them (lookup indices, the
+step moves of the row-state engine, gash classes, temporary-piece and
+scab tables, sliding gash sets, auras), each computed once per table
+value on first use.  :func:`validate_tables` gates everything
+downstream: it re-checks the counts, the one-replacement lemma behind
+gash propagation, label coverage, uniqueness of completion from two
+known sides, and the derived tables.
 
 >>> complete_triangle("up", left=1, right=0)
 (1, 0, 3)
@@ -205,6 +206,19 @@ class PieceTables:
             out[q] = out.get(q, ()) + (p,)
         return out
 
+    @cached_property
+    def _step_tables(self) -> dict[tuple[frozenset, frozenset], "_StepMoves"]:
+        return {}
+
+    def step_moves(self, special_up=frozenset(), special_down=frozenset()) -> "_StepMoves":
+        """The step moves of the row-state engine (``search``) with the
+        given special pieces: one table per pair of special-piece sets,
+        kept on this value and shared by every pass that reads it."""
+        key = (frozenset(special_up), frozenset(special_down))
+        if key not in self._step_tables:
+            self._step_tables[key] = _StepMoves(self, *key)
+        return self._step_tables[key]
+
     # -- gash propagation ----------------------------------------------------
 
     @cached_property
@@ -311,6 +325,12 @@ class PieceTables:
         }
 
     @cached_property
+    def temporary_sets(self) -> tuple[frozenset[Triple], frozenset[Triple]]:
+        """The temporary up- and down-triangles, the special pieces of a
+        temporary-piece flaw."""
+        return frozenset(self.temporaries), frozenset(self.down_temporaries)
+
+    @cached_property
     def scabs(self) -> dict[tuple[int, int, int, int], tuple[str, tuple[int, int]]]:
         """Map each scab ``(NW, NE, SE, SW)`` -- a vertical two-triangle
         rhombus that is not 180-degree symmetric -- to its unique
@@ -374,6 +394,52 @@ class PieceTables:
             if table[((d + 1) % 6, a)] != v * zeta_pow(2):
                 raise ValueError(f"aura table is not rotation-equivariant at {(d, a)}")
         return table
+
+
+class _StepMoves(dict):
+    """``moves[carry, over, preset, bottom, special]``: the moves
+    ``(B(x, y), item of U(x, y), A(x+1, y), "U"|"D"|None)`` of a step of
+    the row-state engine, the last naming the cell of a special piece.
+    ``over`` is the item above ``D(x, y)``, None if there is no such
+    cell; ``preset`` is the label the right border gives ``B(x, y)``, or
+    None, and a rhombus ``over`` presets it too.  ``bottom`` is False
+    above the last row, True in it, or the item ``("H", label)`` the last
+    row must have at this step; ``special`` allows special pieces.
+    Order: ordinary up-triangles, special ones sorted, rhombi; under
+    each, the ordinary down-triangle, then special ones sorted.  An
+    entry is built on its first lookup and kept."""
+
+    def __init__(self, t: PieceTables, special_up: frozenset, special_down: frozenset):
+        super().__init__()
+        self._t = t
+        self._sp_up, self._sp_down = sorted(special_up), sorted(special_down)
+
+    def __missing__(self, key: tuple) -> tuple:
+        carry, over, preset, bottom, special = key
+        t, sp_up, sp_down = self._t, self._sp_up, self._sp_down
+        ups = [(r, ("H", h), None) for r, h in t.up_by_left.get(carry, ())]
+        if special:
+            ups += [(r, ("H", h), "U") for l, r, h in sp_up if l == carry]
+        if bottom is False:
+            ups += [(p, ("R", p, carry), None) for p in t.rhombi_by_q.get(carry, ())]
+        elif bottom is not True:
+            ups = [m for m in ups if m[1] == bottom]
+        if over is not None and over[0] == "R":
+            preset = over[1]
+        out = []
+        for right, item, sp in ups:
+            if preset not in (None, right):
+                continue
+            if over is None or over[0] == "R":
+                # no D(x, y), or the lower half of the rhombus above
+                out.append((right, item, None if over is None else over[2], sp))
+                continue
+            downs = [(t.down_by_nw_top.get((right, over[1])), sp)]
+            if special and sp is None:
+                downs += [(ne, "D") for nw, ne, top in sp_down if (nw, top) == (right, over[1])]
+            out += [(right, item, ne, s) for ne, s in downs if ne is not None]
+        self[key] = moves = tuple(out)
+        return moves
 
 
 # ---------------------------------------------------------------------------

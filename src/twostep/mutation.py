@@ -54,7 +54,7 @@ from .board import (
     rhombus_outer_edges,
     up_cell_edges,
 )
-from .labels import OUT_DOWN, OUT_UP, SIMPLE, AbstractGash, complete_triangle, tables
+from .labels import OUT_DOWN, OUT_UP, SIMPLE, AbstractGash, PieceTables, complete_triangle, tables
 from .search import enumerate_one_special, enumerate_puzzles
 from .strings import String012, covers, cocovers, fmt
 
@@ -265,14 +265,14 @@ class FlawRecognitionError(Exception):
     flaw's border strings do not form a Bruhat cover."""
 
 
-def _step(G: GashedPuzzle, g: PlacedGash):
-    """One propagation. Returns (new GashedPuzzle, new PlacedGash),
-    "stuck", or "blocked" (another gash on the target piece)."""
+def _step(G: GashedPuzzle, g: PlacedGash, t: PieceTables):
+    """One propagation under the piece tables ``t``. Returns (new
+    GashedPuzzle, new PlacedGash), "stuck", or "blocked" (another gash
+    on the target piece)."""
     B = G.base
     cell = cell_ahead(g.edge, g.d, B.n)
     if cell is None:
         return "stuck"
-    t = tables()
     other_edges = {h.edge for h in G.gashes if h != g}
     r0 = B.rhombus_at(cell)
     if r0 is not None:
@@ -327,8 +327,9 @@ def propagate_full(
     if g not in G.gashes:
         raise ValueError(f"gash {g} is not in this gashed puzzle")
     path = [g.edge]
+    t = tables()
     while True:
-        res = _step(G, g)
+        res = _step(G, g, t)
         if res in ("stuck", "blocked"):
             return G, g, path
         G, g = res
@@ -759,9 +760,7 @@ def enumerate_flawed(
     for P in enumerate_puzzles(u, v, w):
         for x, yy in scab_positions(P):
             yield FlawedPuzzle(P, ("scab", (x, yy)))
-    sp_up = set(temporary_table())
-    sp_down = set(down_temporary_table())
-    for P, cell in enumerate_one_special(u, v, w, sp_up, sp_down):
+    for P, cell in enumerate_one_special(u, v, w, *tables().temporary_sets):
         yield FlawedPuzzle(P, ("temporary", cell))
 
 

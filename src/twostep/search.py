@@ -7,7 +7,8 @@ unused items of row y-1)``, where the carry is ``A(x+1, y)`` and an
 item is ``("H", label)``, the bottom edge of an up-cell, or
 ``("R", p, q)``, the top half of a vertical rhombus whose lower half
 presets ``B(x, y+1) = p`` and ``A(x+1, y+1) = q``.  Both readers of
-the states take their moves from ``_move_fn``:
+the states take their moves from one table, ``PieceTables.step_moves``,
+built once per piece-table value and shared by every call:
 
 - ``product_expansion(u, v)`` computes every ``C^w_{u,v}`` in one pass,
   merging equal states after every step and summing their weights; the
@@ -34,7 +35,7 @@ True
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Collection, Iterator
 
 from .algebra import YPoly, y
 from .board import Edge, InvariantViolation, Puzzle, rhombus_position
@@ -49,54 +50,6 @@ __all__ = [
     "product_expansion",
     "restriction_puzzle",
 ]
-
-
-def _move_fn(special_up=frozenset(), special_down=frozenset()) -> Callable[..., list]:
-    """``moves(carry, over, preset, bottom, special)``, memoised for one call:
-    the moves ``(B(x, y), item of U(x, y), A(x+1, y), "U"|"D"|None)`` of a
-    step, the last naming the cell of a special piece.  ``over`` is the
-    item above ``D(x, y)`` and ``preset`` the label ``B(x, y)`` must have
-    (None if free); ``bottom`` forbids rhombi, ``special`` allows special
-    pieces.  Order: ordinary up-triangles, special ones sorted, rhombi;
-    under each, the ordinary down-triangle, then special ones sorted.
-    """
-    t = tables()
-    up_by_left, down_by_nw_top, rhombi_by_q = t.up_by_left, t.down_by_nw_top, t.rhombi_by_q
-    sp_up, sp_down = sorted(special_up), sorted(special_down)
-    memo: dict[tuple, list] = {}
-
-    def moves(carry, over, preset, bottom, special) -> list:
-        key = (carry, over, preset, bottom, special)
-        if key in memo:
-            return memo[key]
-        ups = [(r, ("H", h), None) for r, h in up_by_left.get(carry, ())]
-        if special:
-            ups += [(r, ("H", h), "U") for l, r, h in sp_up if l == carry]
-        if not bottom:
-            ups += [(p, ("R", p, carry), None) for p in rhombi_by_q.get(carry, ())]
-        out = memo[key] = []
-        for right, item, sp in ups:
-            if preset not in (None, right):
-                continue
-            if over is None or over[0] == "R":
-                # no D(x, y), or the lower half of the rhombus above
-                out.append((right, item, None if over is None else over[2], sp))
-                continue
-            downs = [(down_by_nw_top.get((right, over[1])), sp)]
-            if special and sp is None:
-                downs += [(ne, "D") for nw, ne, top in sp_down if (nw, top) == (right, over[1])]
-            out += [(right, item, ne, s) for ne, s in downs if ne is not None]
-        return out
-
-    return moves
-
-
-def _above(x: int, yy: int, above: tuple, v: String012) -> tuple:
-    """``(over, preset)`` at step ``x`` of row ``y``: ``B(x, y)`` is fixed
-    by ``v`` on the right border, or by a rhombus from the row above."""
-    if x == yy:
-        return None, v[yy]
-    return above[0], (above[0][1] if above[0][0] == "R" else None)
 
 
 def enumerate_puzzles(u: String012, v: String012, w: String012) -> Iterator[Puzzle]:
@@ -116,64 +69,68 @@ def enumerate_one_special(
     u: String012,
     v: String012,
     w: String012,
-    special_up: set[tuple[int, int, int]],
-    special_down: set[tuple[int, int, int]],
+    special_up: Collection[tuple[int, int, int]],
+    special_down: Collection[tuple[int, int, int]],
 ) -> Iterator[tuple[Puzzle, tuple[str, int, int]]]:
     """Yield ``(tiling, cell)`` pairs for every tiling of the boundary that
     uses the ordinary pieces everywhere except at exactly one cell, which
     holds a triple from ``special_up`` (as ``(left, right, bottom)``) or
     ``special_down`` (as ``(nw, ne, top)``)."""
-    yield from _walk(u, v, w, _move_fn(special_up, special_down))
+    yield from _walk(u, v, w, (special_up, special_down))
 
 
 def _walk(
-    u: String012, v: String012, w: String012, moves: Callable[..., list] | None
+    u: String012, v: String012, w: String012, special: tuple[Collection, Collection] | None
 ) -> Iterator[tuple[Puzzle, tuple[str, int, int] | None]]:
-    """Each tiling of ``(u, v, w)`` with no special piece (``moves`` is
-    None) or exactly one, with its special cell, in the order of the
-    moves.  A ``(step, state, special used)`` from which no tiling was
-    found goes into ``dead`` and is not entered again."""
+    """Each tiling of ``(u, v, w)`` with no special piece (``special`` is
+    None) or exactly one from the ``(up, down)`` sets ``special``, with
+    its special cell, in the order of the moves.  A ``(step, state,
+    special used)`` from which no tiling was found goes into ``dead`` and
+    is not entered again."""
     n = len(u)
     if not (len(v) == len(w) == n):
         raise ValueError("boundary strings must have equal length")
     if not (content(u) == content(v) == content(w)):
         return
-    need = moves is not None
-    moves = moves or _move_fn()
+    need = special is not None
+    moves = tables().step_moves(*(special or ()))
     steps = [(x, yy) for yy in range(n) for x in range(yy + 1)]
-    path: list[tuple] = []
+    # per step: the label the right border gives B(x, y), the bottom-row
+    # key of the moves, and the carry A(0, y+1) after the last step of a row
+    border = [v[yy] if x == yy else None for x, yy in steps]
+    bottom = [yy == n - 1 and ("H", w[x]) for x, yy in steps]
+    carry_next = [u[n - yy - 2] if yy < n - 1 else None for _, yy in steps]
+    last = len(steps)
+    path: list[tuple] = [()] * last
     dead: set[tuple] = set()
     found = 0
-
-    def walk(k, done, carry, above, used):
-        nonlocal found
-        if k == len(steps):
+    frames: list[tuple] = []  # (state, found before, moves not yet tried)
+    state = (0, (), u[-1] if n else None, (), False)
+    while True:
+        k, done, carry, above, used = state
+        if k == last:
             if used == need:
                 found += 1
                 yield _build(u, v, w, zip(steps, path))
+        elif state not in dead:
+            over = above[0] if above else None
+            key = (carry, over, border[k], bottom[k], need and not used)
+            frames.append((state, found, iter(moves[key])))
+        # back up to the innermost state with a move left
+        while frames and (move := next(frames[-1][2], None)) is None:
+            state, before, _ = frames.pop()
+            if found == before:
+                dead.add(state)
+        if not frames:
             return
-        key = (k, done, carry, above, used)
-        if key in dead:
-            return
-        before = found
-        x, yy = steps[k]
-        bottom = yy == n - 1
-        for move in moves(carry, *_above(x, yy, above, v), bottom, need and not used):
-            right, item, ne, sp = move
-            if bottom and item[1] != w[x]:
-                continue
-            path.append(move)
-            used_next = used or sp is not None
-            if x < yy:
-                yield from walk(k + 1, done + (item,), ne, above[1:], used_next)
-            else:
-                carry_next = None if bottom else u[n - yy - 2]
-                yield from walk(k + 1, (), carry_next, done + (item,), used_next)
-            path.pop()
-        if found == before:
-            dead.add(key)
-
-    yield from walk(0, (), u[n - 1] if n else None, (), False)
+        k, done, carry, above, used = frames[-1][0]
+        path[k] = move
+        _, item, ne, sp = move
+        used = used or sp is not None
+        if border[k] is None:
+            state = (k + 1, done + (item,), ne, above[1:], used)
+        else:
+            state = (k + 1, (), carry_next[k], done + (item,), used)
 
 
 def _build(u, v, w, steps_and_moves) -> tuple[Puzzle, tuple[str, int, int] | None]:
@@ -230,17 +187,19 @@ def _bottom_rows(u: String012, v: String012) -> dict[tuple[int, ...], YPoly]:
     """The summed weight of all tilings with left and right borders
     ``u`` and ``v``, by bottom-row labels (composed labels included)."""
     n = len(u)
-    moves = _move_fn()
+    moves = tables().step_moves()
     states: dict[tuple, YPoly] = {(): YPoly.const(1)}
     for yy in range(n):
         frontier = {((), u[n - yy - 1], above): wt for above, wt in states.items()}
         bottom = yy == n - 1
         for x in range(yy + 1):
+            border = v[yy] if x == yy else None
             i, j = rhombus_position(x, yy, n)
             rhombus_weight = y(j) - y(i)
             step: dict[tuple, YPoly] = {}
             for (done, carry, above), wt in frontier.items():
-                for _, item, ne, _ in moves(carry, *_above(x, yy, above, v), bottom, False):
+                over = above[0] if above else None
+                for _, item, ne, _ in moves[carry, over, border, bottom, False]:
                     key = (done + (item,), ne, above[1:])
                     step[key] = step[key] + wt if key in step else wt
             # every rhombus placed in this step has the same weight, so

@@ -5,6 +5,10 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -380,36 +384,53 @@ def test_product_output_pinned(capsys, argv, sha256):
 
 # sha256 of stdout, recorded from the backtracking enumerator; the walk
 # over the row states must list the same puzzles in the same order
-@pytest.mark.parametrize(
-    "u, v, w, sha256",
-    [
-        pytest.param(
-            "01201",
-            "10102",
-            "10210",
-            "fc41e0dc3660a786adf5a043f949078f178a9fde0c39e070523e4dd66d95e559",
-            id="2-puzzles",
-        ),
-        pytest.param(
-            "202101",
-            "201210",
-            "221010",
-            "1c5183d958dc3fe99897ccca902f202d291c8e9d0939bca56c7b1298c84cb10d",
-            id="9-puzzles",
-        ),
-        pytest.param(
-            "212021",
-            "212210",
-            "222110",
-            "adc4a09c5cd70b6c08d079f3681381123a4cbfc9852e083b59c973529020f4f9",
-            id="35-puzzles",
-        ),
-    ],
-)
+PUZZLES_PINS = [
+    pytest.param(
+        "01201",
+        "10102",
+        "10210",
+        "fc41e0dc3660a786adf5a043f949078f178a9fde0c39e070523e4dd66d95e559",
+        id="2-puzzles",
+    ),
+    pytest.param(
+        "202101",
+        "201210",
+        "221010",
+        "1c5183d958dc3fe99897ccca902f202d291c8e9d0939bca56c7b1298c84cb10d",
+        id="9-puzzles",
+    ),
+    pytest.param(
+        "212021",
+        "212210",
+        "222110",
+        "adc4a09c5cd70b6c08d079f3681381123a4cbfc9852e083b59c973529020f4f9",
+        id="35-puzzles",
+    ),
+]
+
+
+@pytest.mark.parametrize("u, v, w, sha256", PUZZLES_PINS)
 def test_puzzles_output_pinned(capsys, u, v, w, sha256):
     code, out, _ = run(capsys, "puzzles", "--u", u, "--v", v, "--w", w)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_puzzles_output_pinned_without_asserts():
+    # the listing and its invariant checks must not rest on ``assert``,
+    # which ``python -O`` strips
+    import twostep
+
+    u, v, w, sha256 = PUZZLES_PINS[0].values
+    src = str(pathlib.Path(twostep.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "twostep.cli", "puzzles", "--u", u, "--v", v, "--w", w],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == sha256
 
 
 def test_verify_oracle_output_pinned(capsys):

@@ -7,6 +7,7 @@ import random
 import pytest
 
 import reference_search
+from twostep.labels import tables
 from twostep.mutation import down_temporary_table, temporary_table
 from twostep.strings import (
     all_strings,
@@ -177,6 +178,60 @@ def test_one_special_without_special_pieces_is_empty():
     u, v, w = parse("01201"), parse("10102"), parse("10210")
     assert count_puzzles(u, v, w) == 2
     assert list(enumerate_one_special(u, v, w, set(), set())) == []
+
+
+def test_one_special_tables_are_kept_apart():
+    # the temporary pieces' moves and the ordinary ones live in two tables
+    # of one ``PieceTables`` value; listing with one must not leak into
+    # the other
+    u, v, w = parse("01201"), parse("10102"), parse("10210")
+    assert len(list(enumerate_one_special(u, v, w, *tables().temporary_sets))) == 1
+    assert list(enumerate_one_special(u, v, w, set(), set())) == []
+    assert count_puzzles(u, v, w) == 2
+
+
+def test_step_moves_have_one_owner(monkeypatch, tmp_path):
+    import twostep.labels as labels
+
+    u, v, w = (parse(s) for s in HEAVY_TRIPLES[1])
+    old = tables()
+    sp_up, sp_down = old.temporary_sets
+    assert old.step_moves() is old.step_moves(set(), set())
+    assert old.step_moves(sp_up, sp_down) is old.step_moves(set(sp_up), set(sp_down))
+    assert_lists_match_reference(u, v, w)
+    filled = {key: len(old.step_moves(*key)) for key in [(), old.temporary_sets]}
+    assert all(filled.values())
+
+    copy = tmp_path / "tables.txt"
+    copy.write_text(labels.default_table_text())
+    monkeypatch.setenv("PUZZLE_TABLE_PATH", str(copy))
+    new = tables()
+    assert new is not old
+    assert len(new.step_moves()) == len(new.step_moves(*new.temporary_sets)) == 0
+    assert_lists_match_reference(u, v, w)
+    assert len(new.step_moves()) > 0 and len(new.step_moves(*new.temporary_sets)) > 0
+    assert new.step_moves() is not old.step_moves()
+    # the old value's tables saw none of the second listing
+    assert filled == {key: len(old.step_moves(*key)) for key in filled}
+
+
+def test_empty_boundary():
+    [P] = list(enumerate_puzzles((), (), ()))
+    assert P.n == 0 and P.boundary() == ((), (), ())
+    assert list(enumerate_one_special((), (), (), *tables().temporary_sets)) == []
+
+
+def test_listing_is_lazy(monkeypatch):
+    import twostep.search as search
+
+    u, v, w = (parse(s) for s in HEAVY_TRIPLES[1])
+    built = []
+    build = search._build
+    monkeypatch.setattr(search, "_build", lambda *a: built.append(1) or build(*a))
+    first = next(iter(enumerate_puzzles(u, v, w)))
+    assert first.key == next(iter(reference_search.enumerate_puzzles(u, v, w))).key
+    # one of the nine puzzles is built before the first is handed out
+    assert len(built) == 1
 
 
 # -- product_expansion (row transfer) against the enumerator -------------------
