@@ -4,9 +4,10 @@ A Schubert class of the two-step flag variety Fl(a,b;n) is indexed by a
 012-string: a sequence over {0,1,2} with ``a`` zeros, ``b-a`` ones and
 ``n-b`` twos.  The length ``l(u)`` is the inversion count.
 
-The oracle computes structure constants from three identities only --
-the closed product formula for the extreme case ``u = v = w`` and the
-divisor-associativity recursions in ``u`` and in ``v`` -- entirely
+The oracle computes structure constants from three identities -- the
+closed product formula for the extreme case ``u = v = w`` and the
+divisor-associativity recursions in ``u`` and in ``v`` -- and the
+vanishing of every constant outside ``u <= w, v <= w``, entirely
 independently of the puzzle enumeration, so the two routes cross-check
 each other.  Each recursion step sums its right-hand side in one dict of
 monomials, returns zero when that sum is zero, and otherwise divides it
@@ -228,18 +229,22 @@ def cocovers(w: String012) -> list[CoverEdge]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _leq_cache(u: String012, w: String012) -> bool:
-    if u == w:
-        return True
-    if length(u) >= length(w):
-        return False
-    return any(_leq_cache(c.after, w) for c in covers(u))
-
-
 def bruhat_leq(u: String012, w: String012) -> bool:
-    """Bruhat order comparison via cover chains (small n only)."""
-    return _leq_cache(u, w)
+    """Bruhat order comparison by the tableau criterion, in O(n).
+
+    Strings of different content are incomparable; otherwise ``u <= w``
+    when every prefix of ``u`` has no more letters ``>= 1`` and no more
+    ``2``s than the prefix of ``w`` of the same length.
+    """
+    if content(u) != content(w):
+        return False
+    high = twos = 0  # prefix counts of w minus those of u
+    for a, b in zip(u, w):
+        high += (b > 0) - (a > 0)
+        twos += (b == 2) - (a == 2)
+        if high < 0 or twos < 0:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +288,9 @@ def oracle_constant(u: String012, v: String012, w: String012) -> YPoly:
     """The structure constant ``C^w_(u,v)`` from the recursion oracle.
 
     Descending induction on the degree ``l(u)+l(v)-l(w)``: negative
-    degree gives 0; ``u = v = w`` is the closed product formula; for
+    degree gives 0, and so does a triple outside the support ``u <= w``,
+    ``v <= w`` of the constants (Knutson-Tao), before any cover is
+    built; ``u = v = w`` is the closed product formula; for
     ``u != w`` the associativity recursion in ``u`` is solved for
     ``C^w_(u,v)`` by specializing the deltas to ``(2,1,0)`` and dividing
     exactly by the specialization of ``C_u - C_w``; for ``u = w != v``
@@ -297,7 +304,7 @@ def oracle_constant(u: String012, v: String012, w: String012) -> YPoly:
     if type_u != content(v) or type_u != content(w):
         raise ValueError("mismatched string types")
     deg = length(u) + length(v) - length(w)
-    if deg < 0:
+    if deg < 0 or not (bruhat_leq(u, w) and bruhat_leq(v, w)):
         return YPoly()
     if u == w and v == w:
         return extreme_constant(w)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import reference_oracle
 import reference_search
 from twostep.labels import tables
 from twostep.mutation import down_temporary_table, temporary_table
@@ -104,6 +105,23 @@ def test_matches_oracle_heavy_triples(u, v, w):
     oracle_constant.cache_clear()
     u, v, w = parse(u), parse(v), parse(w)
     assert structure_constant(u, v, w) == oracle_constant(u, v, w)
+
+
+# oracle cache entries after one call from a cold cache; without the
+# support test ``u <= w, v <= w`` they were 6,166 / 5,654 / 2,189 /
+# 3,064 / 3,716 / 1,817
+HEAVY_ORACLE_ENTRIES = [338, 114, 59, 239, 85, 113]
+
+
+@pytest.mark.parametrize(
+    "triple, entries", list(zip(HEAVY_TRIPLES, HEAVY_ORACLE_ENTRIES))
+)
+def test_oracle_stays_in_bruhat_interval(triple, entries):
+    u, v, w = (parse(s) for s in triple)
+    oracle_constant.cache_clear()
+    c = oracle_constant(u, v, w)
+    assert oracle_constant.cache_info().currsize == entries
+    assert c == reference_oracle.oracle_constant(u, v, w)
 
 
 def test_identity_is_unit():

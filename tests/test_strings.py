@@ -7,7 +7,9 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference_oracle
 import reference_search
+from conftest import all_triples
 from twostep.algebra import Tower, y
 from twostep.strings import (
     all_partitions,
@@ -17,6 +19,7 @@ from twostep.strings import (
     chevalley,
     cocovers,
     content,
+    contents_up_to,
     covers,
     dual_partition_string,
     extreme_constant,
@@ -107,8 +110,29 @@ def test_bruhat_order_basics():
     lo, hi = parse("0122"), parse("2210")
     assert bruhat_leq(lo, hi) and bruhat_leq(lo, lo)
     assert not bruhat_leq(hi, lo)
-    assert not bruhat_leq(parse("012"), parse("021")) or True  # covers are <=
-    assert bruhat_leq(parse("012"), parse("021"))
+    assert bruhat_leq(parse("012"), parse("021"))  # covers are <=
+    # equal length and content, neither below the other
+    assert not bruhat_leq(parse("102"), parse("021"))
+    assert not bruhat_leq(parse("021"), parse("102"))
+    # different content or length: incomparable
+    assert not bruhat_leq(parse("0122"), parse("0112"))
+    assert not bruhat_leq(parse("012"), parse("0122"))
+    assert not bruhat_leq(parse("0122"), parse("012"))
+
+
+def test_bruhat_leq_matches_cover_chains():
+    # every pair of strings of length <= 5 with equal or adjacent length
+    by_length = [
+        [tuple(s) for s in itertools.product(range(3), repeat=n)] for n in range(6)
+    ]
+    pairs = 0
+    for n, m in itertools.product(range(6), repeat=2):
+        if abs(n - m) > 1:
+            continue
+        for u, w in itertools.product(by_length[n], by_length[m]):
+            assert bruhat_leq(u, w) == reference_oracle.bruhat_leq(u, w), (u, w)
+            pairs += 1
+    assert pairs == 110_716
 
 
 def test_c_form_values():
@@ -138,6 +162,17 @@ def test_oracle_base_cases():
     u = identity_string(1, 2, 3)
     assert oracle_constant(u, w, w).coeff(()) == 1  # identity acts as unit
     assert not oracle_constant(w, w, u)  # w not <= u
+
+
+def test_oracle_matches_unpruned_recursion():
+    # every n <= 4 triple, then a seeded n = 5 sample, against the
+    # recursion without the support test
+    triples = [t for a, b, n in contents_up_to(4) for t in all_triples(a, b, n)]
+    assert len(triples) == 5_806
+    n5 = [t for a, b, n in contents_up_to(5) if n == 5 for t in all_triples(a, b, n)]
+    triples += random.Random(5).sample(n5, 300)
+    for u, v, w in triples:
+        assert oracle_constant(u, v, w) == reference_oracle.oracle_constant(u, v, w)
 
 
 def test_chevalley_terms():
