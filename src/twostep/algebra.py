@@ -17,13 +17,12 @@ check) and :func:`graham_decompose` (rewriting in the difference basis
 
 >>> (zeta_pow(6)).coeffs
 (-1, 0, 0, 0)
->>> y(4) - y(1) == parse_poly("-1*y1 + 1*y4")
-True
+>>> format_poly(y(4) - y(1))
+'-1*y1 + 1*y4'
 """
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "zeta_pow",
     "YPoly",
     "y",
-    "parse_poly",
     "format_poly",
     "exact_divide",
     "NotDivisible",
@@ -180,8 +178,8 @@ class YPoly:
     >>> p = (y(4) - y(1)) * (y(4) - y(3))
     >>> p.degree()
     2
-    >>> p == parse_poly("1*y1*y3 - 1*y1*y4 - 1*y3*y4 + 1*y4^2")
-    True
+    >>> format_poly(p)
+    '1*y1*y3 - 1*y1*y4 - 1*y3*y4 + 1*y4^2'
     """
 
     __slots__ = ("terms",)
@@ -325,12 +323,6 @@ def y(i: int) -> YPoly:
 
 # -- canonical text form ----------------------------------------------------
 
-_TERM_RE = re.compile(
-    r"^\s*([+-]?\d+)\s*((?:\*\s*y\d+(?:\^\d+)?\s*)*)$"
-)
-_FACTOR_RE = re.compile(r"y(\d+)(?:\^(\d+))?")
-
-
 def _mono_key(m: Mono) -> tuple:
     # graded-lex with y1 before y2 before ...
     return (sum(m), tuple(-e for e in m))
@@ -358,40 +350,6 @@ def format_poly(p: YPoly) -> str:
         parts.append("*".join(factors))
     out = " + ".join(parts)
     return out.replace("+ -", "- ")
-
-
-def parse_poly(text: str) -> YPoly:
-    """Parse the canonical polynomial grammar.
-
-    >>> parse_poly("1*y4 - 1*y1") == y(4) - y(1)
-    True
-    >>> parse_poly("0") == YPoly()
-    True
-    """
-    text = re.sub(r"\s+", "", text)
-    if text in ("0", ""):
-        return YPoly()
-    # normalize "a-b" to "a+-b", then split on +
-    text = text.replace("-", "+-").lstrip("+")
-    out = YPoly()
-    for chunk in text.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        m = _TERM_RE.match(chunk)
-        if not m:
-            raise ValueError(f"bad polynomial term: {chunk!r}")
-        coeff = int(m.group(1))
-        mono: dict[int, int] = {}
-        for fm in _FACTOR_RE.finditer(m.group(2)):
-            i = int(fm.group(1))
-            e = int(fm.group(2) or 1)
-            mono[i] = mono.get(i, 0) + e
-        vec = [0] * (max(mono) if mono else 0)
-        for i, e in mono.items():
-            vec[i - 1] = e
-        out = out + YPoly({tuple(vec): coeff})
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -606,31 +564,6 @@ class Tower:
         return Tower(d)
 
     __rmul__ = __mul__
-
-    # -- specialization ----------------------------------------------------
-
-    def specialize_delta(self, values: tuple[int, int, int]) -> "Tower":
-        """Substitute integers for ``delta0, delta1, delta2``."""
-        d: dict[tuple[DeltaKey, Mono], Cyc12] = {}
-        for (dk, m), c in self.terms.items():
-            scale = 1 if dk is None else values[dk]
-            if scale:
-                key = (None, m)
-                prev = d.get(key)
-                add = c * scale
-                d[key] = add if prev is None else prev + add
-        return Tower(d)
-
-    def to_ypoly(self) -> YPoly:
-        """Convert a delta-free, zeta-free element back to a plain YPoly."""
-        out: dict[Mono, int] = {}
-        for (dk, m), c in self.terms.items():
-            if dk is not None:
-                raise ValueError("element still carries deltas")
-            if any(c.coeffs[1:]):
-                raise ValueError("element is not rational")
-            out[m] = c.coeffs[0]
-        return YPoly(out)
 
     def __repr__(self) -> str:
         return f"Tower({self.terms!r})"

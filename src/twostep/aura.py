@@ -21,9 +21,9 @@ puzzle rule, each returning a report dict ``{check, instance, pass,
 lhs, rhs}``.
 
 >>> from .algebra import Tower
->>> edge_aura(1, 0) == Tower.delta(0) * Tower.zeta(3)
+>>> aura_table()[(1, 0)] == Tower.delta(0) * Tower.zeta(3)
 True
->>> edge_aura(1, 3) == Tower.delta(1) * Tower.zeta(5) + Tower.delta(0) * Tower.zeta(1)
+>>> aura_table()[(1, 3)] == Tower.delta(1) * Tower.zeta(5) + Tower.delta(0) * Tower.zeta(1)
 True
 >>> gash_aura((1, 0, 4)) == (Tower.delta(0) * Tower.zeta(3)
 ...     + Tower.delta(1) * Tower.zeta(7) + Tower.delta(2) * Tower.zeta(11))
@@ -63,7 +63,6 @@ from .strings import String012, c_form, cocovers, content, covers, fmt
 
 __all__ = [
     "aura_table",
-    "edge_aura",
     "gash_aura",
     "resolution_aura",
     "flawed_aura",
@@ -83,19 +82,15 @@ __all__ = [
 ]
 
 def aura_table() -> dict[tuple[int, int], Tower]:
-    """Aura of every semi-labeled edge ``(direction d, label)``."""
-    return tables().aura
-
-
-def edge_aura(d: int, label: int) -> Tower:
-    """Aura of a semi-labeled edge: perpendicular direction ``d`` points
-    toward the side bearing ``label``.
+    """Aura of every semi-labeled edge ``(direction d, label)``: the
+    direction ``d`` is perpendicular to the edge and points toward the
+    side bearing ``label``.
 
     >>> from .algebra import Tower
-    >>> edge_aura(4, 2) == Tower.delta(2) * Tower.zeta(9)
+    >>> aura_table()[(4, 2)] == Tower.delta(2) * Tower.zeta(9)
     True
     """
-    return tables().aura[(d % 6, label)]
+    return tables().aura
 
 
 def gash_aura(g: AbstractGash) -> Tower:
@@ -138,7 +133,7 @@ def gamma_form(a: int, b: int, n: int) -> Tower:
 
 def piece_equivariant_aura(P: Puzzle, cell: tuple[str, int, int]) -> Tower:
     """Weight-scaled aura of a triangular piece: the sum over its sides
-    of ``weight(e) * edge_aura`` with labels moved inside the piece."""
+    of ``weight(e)`` times the edge aura, with labels moved inside the piece."""
     kind, x, yy = cell
     if kind == "U":
         edges, ins = up_cell_edges(x, yy), IN_UP
@@ -176,6 +171,11 @@ def _scab_weight(P: FlawedPuzzle) -> YPoly:
 
 # ---------------------------------------------------------------------------
 # Executable identities (each returns {check, instance, pass, lhs, rhs})
+
+
+def _border_form(u: String012, v: String012, w: String012) -> Tower:
+    """``C_u zeta^11 + C_v zeta^7 + C_w zeta^3``."""
+    return c_form(u) * Tower.zeta(11) + c_form(v) * Tower.zeta(7) + c_form(w) * Tower.zeta(3)
 
 
 def _report(check: str, instance: str, lhs: Tower, rhs: Tower) -> dict:
@@ -238,16 +238,12 @@ def check_scab_sum(P: Puzzle) -> dict:
     lhs = Tower.zero()
     for x, yy in scab_positions(P):
         lhs = lhs + scab_equivariant_aura(P, x, yy)
-    rhs = (
-        c_form(u) * Tower.zeta(11)
-        + c_form(v) * Tower.zeta(7)
-        + c_form(w) * Tower.zeta(3)
-    )
+    rhs = _border_form(u, v, w)
     inst = f"puzzle with boundary ({fmt(u)}, {fmt(v)}, {fmt(w)})"
     return _report("scab sum", inst, lhs, rhs)
 
 
-def check_mutation_closed_sum(S: Iterable[FlawedPuzzle], instance: str = "") -> dict:
+def check_mutation_closed_sum(S: Iterable[FlawedPuzzle]) -> dict:
     """Over a mutation-closed set of flawed puzzles, the auras of the
     scab-flawed and gash-pair-flawed members sum to zero (temporary
     flaws do not contribute)."""
@@ -257,7 +253,7 @@ def check_mutation_closed_sum(S: Iterable[FlawedPuzzle], instance: str = "") -> 
         count += 1
         if P.flaw_type in ("scab", "gashpair"):
             total = total + flawed_aura(P)
-    inst = instance or f"mutation-closed set of {count} flawed puzzles"
+    inst = f"mutation-closed set of {count} flawed puzzles"
     return _report("mutation-closed aura sum", inst, total, Tower.zero())
 
 
@@ -319,11 +315,7 @@ def check_recursion(u: String012, v: String012, w: String012) -> dict:
     delta-linear ring: ``(C_u z^11 + C_v z^7 + C_w z^3) C^w_{u,v}``
     equals the cover-sum of neighbouring constants."""
     c = Tower.from_ypoly(structure_constant(u, v, w))
-    lhs = (
-        c_form(u) * Tower.zeta(11)
-        + c_form(v) * Tower.zeta(7)
-        + c_form(w) * Tower.zeta(3)
-    ) * c
+    lhs = _border_form(u, v, w) * c
     rhs = Tower.zero()
     for ce in covers(u):
         rhs = rhs + Tower.zeta(5) * ce.delta_tower() * Tower.from_ypoly(

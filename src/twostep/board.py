@@ -23,10 +23,12 @@ one adjacent down-cell -- ``o = 0`` vertical with ``D(x,y+1)`` below,
 ``D(x,y)`` across the right side.  Equivariant puzzles use only vertical
 rhombi; the other orientations exist so whole puzzles can be rotated.
 A vertical rhombus at ``U(x,y)`` spans the bottom-edge positions
-``(i, j) = (x+1, n-y+x)`` and carries weight ``y_j - y_i``.
+``(i, j) = (x+1, n-y+x)`` and carries weight ``y_j - y_i``.  The
+unique puzzle with boundary ``(10, 10, 10)`` has one rhombus:
 
 >>> from .strings import parse
->>> P = demo_puzzle()
+>>> P = Puzzle(2, {("A", 0, 0): 0, ("B", 0, 0): 1, ("A", 0, 1): 1, ("B", 0, 1): 1,
+...     ("H", 0, 1): 1, ("A", 1, 1): 0, ("B", 1, 1): 0, ("H", 1, 1): 0}, frozenset({(0, 0, 0)}))
 >>> P.boundary() == (parse("10"), parse("10"), parse("10"))
 True
 >>> P.validate()
@@ -58,7 +60,6 @@ __all__ = [
     "all_edges",
     "edge_weight",
     "rhombus_position",
-    "demo_puzzle",
     "puzzle_to_json",
     "puzzle_from_json",
     "render_text",
@@ -322,21 +323,6 @@ class Puzzle:
         for x, yy, o in self.rhombi:
             rhombi.add((yy - x, yy, (0, 2, 1)[o]))
         return Puzzle(n, labels, frozenset(rhombi))
-
-
-def demo_puzzle() -> Puzzle:
-    """The unique puzzle with boundary (10, 10, 10): one rhombus."""
-    labels = {
-        ("A", 0, 0): 0,
-        ("B", 0, 0): 1,
-        ("A", 0, 1): 1,
-        ("B", 0, 1): 1,
-        ("H", 0, 1): 1,
-        ("A", 1, 1): 0,
-        ("B", 1, 1): 0,
-        ("H", 1, 1): 0,
-    }
-    return Puzzle(2, labels, frozenset({(0, 0, 0)}))
 
 
 # ---------------------------------------------------------------------------

@@ -276,7 +276,7 @@ def _suite_oracle(max_n: int) -> list[dict]:
 
 
 def _suite_mutation(max_n: int) -> list[dict]:
-    from .mutation import enumerate_flawed, phi, recognize_flaw
+    from .mutation import dual_flawed, enumerate_flawed, phi, recognize_flaw
 
     reports = []
     for a, b, n in contents_up_to(max_n):
@@ -285,6 +285,9 @@ def _suite_mutation(max_n: int) -> list[dict]:
         for u, v, w in itertools.product(all_strings(a, b, n), repeat=3):
             for P in enumerate_flawed(u, v, w):
                 count += 1
+                D = dual_flawed(P)
+                if D.validate() or dual_flawed(D) != P:
+                    bad.append((fmt(u), fmt(v), fmt(w), "dual"))
                 for R in P.resolutions():
                     G = phi(R)  # raises InvariantViolation on crossing paths
                     Q = recognize_flaw(G)
@@ -309,15 +312,24 @@ def _suite_mutation(max_n: int) -> list[dict]:
 def _suite_aura(max_n: int) -> list[dict]:
     from .aura import (
         check_boundary_aura,
+        check_cover_aura,
         check_gash_classes,
         check_mutation_closed_sum,
         check_recursion,
         check_scab_sum,
+        check_scab_weight,
+        check_temporary_sum,
         check_two_sums,
     )
     from .mutation import enumerate_flawed, mutation_component
     from .search import enumerate_puzzles
 
+    # the identity each kind of flaw satisfies on its own
+    flaw_checks = {
+        "gashpair": check_cover_aura,
+        "scab": check_scab_weight,
+        "temporary": check_temporary_sum,
+    }
     reports = [check_gash_classes()]
     for a, b, n in contents_up_to(max_n):
         bad = []
@@ -333,6 +345,9 @@ def _suite_aura(max_n: int) -> list[dict]:
                 if not r["pass"]:
                     bad.append(r)
             for P in flawed:
+                r = flaw_checks[P.flaw_type](P)
+                if not r["pass"]:
+                    bad.append(r)
                 if P in seen:
                     continue
                 comp = mutation_component(P)

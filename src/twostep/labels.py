@@ -48,7 +48,6 @@ __all__ = [
     "LABELS",
     "SIMPLE",
     "COMPOSED",
-    "label_to_string",
     "dual_label",
     "IN_UP",
     "OUT_UP",
@@ -57,7 +56,6 @@ __all__ = [
     "PieceTables",
     "tables",
     "load_tables",
-    "default_table_text",
     "validate_tables",
     "complete_triangle",
 ]
@@ -66,33 +64,7 @@ LABELS = tuple(range(8))
 SIMPLE = (0, 1, 2)
 COMPOSED = (3, 4, 5, 6, 7)
 
-_LABEL_STRINGS = {
-    0: "0",
-    1: "1",
-    2: "2",
-    3: "10",
-    4: "21",
-    5: "20",
-    6: "2(10)",
-    7: "(21)0",
-}
-
 _DUAL = {0: 2, 1: 1, 2: 0, 3: 4, 4: 3, 5: 5, 6: 7, 7: 6}
-
-# canonical tables: triangles as (left, right, horizontal) in the
-# right-side-up frame; rhombi as (NW-SE label, SW-NE label) in the
-# vertical frame
-_BASE_TRIANGLES = (
-    (0, 0, 0),
-    (1, 1, 1),
-    (2, 2, 2),
-    (1, 0, 3),
-    (2, 1, 4),
-    (2, 0, 5),
-    (2, 3, 6),
-    (4, 0, 7),
-)
-_BASE_RHOMBI = ((1, 0), (2, 1), (2, 0), (2, 3), (4, 0), (4, 3), (6, 0), (2, 7))
 
 # direction of a gash pointing into (IN) or out of (OUT) a cell through
 # side i; up cells list sides as (left, right, bottom), down cells as
@@ -101,17 +73,6 @@ IN_UP = (5, 3, 1)
 OUT_UP = (2, 0, 4)
 IN_DOWN = (0, 2, 4)
 OUT_DOWN = (3, 5, 1)
-
-
-def label_to_string(l: int) -> str:
-    """The fixed 012-expansion of a label.
-
-    >>> label_to_string(0)
-    '0'
-    >>> label_to_string(7)
-    '(21)0'
-    """
-    return _LABEL_STRINGS[l]
 
 
 def dual_label(l: int) -> int:
@@ -443,21 +404,7 @@ class _StepMoves(dict):
 
 
 # ---------------------------------------------------------------------------
-# Fixture (de)serialization
-
-
-def default_table_text() -> str:
-    """The canonical tables in the plain-text fixture format."""
-    lines = [
-        "# puzzle piece tables",
-        "# triangle <left> <right> <horizontal>   (right-side-up frame)",
-        "# rhombus <nw-se> <sw-ne>                (vertical frame)",
-    ]
-    for t in _BASE_TRIANGLES:
-        lines.append("triangle %d %d %d" % t)
-    for r in _BASE_RHOMBI:
-        lines.append("rhombus %d %d" % r)
-    return "\n".join(lines) + "\n"
+# Fixture loading
 
 
 def _parse_tables(text: str) -> PieceTables:
@@ -520,8 +467,8 @@ def validate_tables(t: Optional[PieceTables] = None) -> list[str]:
 
     >>> validate_tables()
     []
-    >>> bad = PieceTables(_BASE_TRIANGLES[1:], _BASE_RHOMBI)
-    >>> validate_tables(bad) != []
+    >>> t = load_tables()
+    >>> validate_tables(PieceTables(t.triangles[1:], t.rhombi)) != []
     True
     """
     if t is None:
@@ -610,13 +557,12 @@ def complete_triangle(orientation: str, **sides: int):
         names, triples = ("left", "right", "horizontal"), t.up_list
     else:
         names, triples = ("nw", "ne", "top"), t.down_list
+    # at most one solution: ``tables()`` passed check (iv) of ``validate_tables``
     solutions = []
     for tri in triples:
         vals = dict(zip(names, tri))
         if all(vals[k] == v for k, v in sides.items()):
             solutions.append(tri)
-    if len(solutions) > 1:
-        raise AssertionError(f"ambiguous completion: {solutions}")
     return solutions[0] if solutions else None
 
 

@@ -49,7 +49,6 @@ from .board import (
     InvariantViolation,
     Puzzle,
     down_cell_edges,
-    puzzle_from_json,
     puzzle_to_json,
     rhombus_outer_edges,
     up_cell_edges,
@@ -69,7 +68,6 @@ __all__ = [
     "gash_class",
     "opposite",
     "rotate_gash",
-    "singleton_gashes",
     "temporary_table",
     "down_temporary_table",
     "scab_table",
@@ -89,7 +87,6 @@ __all__ = [
     "psi_infinity",
     "enumerate_flawed",
     "flawed_to_json",
-    "flawed_from_json",
     "dual_flawed",
 ]
 
@@ -167,10 +164,6 @@ def rotate_gash(g: AbstractGash, k: int) -> AbstractGash:
     """Rotate by ``k`` sixth-turns counterclockwise."""
     d, a, b = g
     return ((d + k) % 6, a, b)
-
-
-def singleton_gashes() -> list[AbstractGash]:
-    return [g for g in all_directed_gashes() if gash_class(g) == {g}]
 
 
 # ---------------------------------------------------------------------------
@@ -805,23 +798,6 @@ def flawed_to_json(P: FlawedPuzzle) -> str:
         flaw = {"type": kind, "anchor": list(data)}
     base["flaw"] = flaw
     return json.dumps(base)
-
-
-def flawed_from_json(text: str) -> FlawedPuzzle:
-    data = json.loads(text)
-    flaw = data.pop("flaw")
-    base = puzzle_from_json(json.dumps(data))
-    kind = flaw["type"]
-    if kind == "gashpair":
-        payload = (
-            flaw["border"],
-            tuple(sorted((i, l) for i, l in flaw["outer"])),
-        )
-    elif kind == "temporary":
-        payload = tuple(flaw["cell"])
-    else:
-        payload = tuple(flaw["anchor"])
-    return FlawedPuzzle(base, (kind, payload))
 
 
 if __name__ == "__main__":

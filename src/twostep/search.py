@@ -39,16 +39,14 @@ from typing import Collection, Iterator
 
 from .algebra import YPoly, y
 from .board import Edge, InvariantViolation, Puzzle, rhombus_position
-from .labels import complete_triangle, tables
+from .labels import tables
 from .strings import String012, all_strings, content
 
 __all__ = [
     "enumerate_puzzles",
     "enumerate_one_special",
-    "count_puzzles",
     "structure_constant",
     "product_expansion",
-    "restriction_puzzle",
 ]
 
 
@@ -155,10 +153,6 @@ def _build(u, v, w, steps_and_moves) -> tuple[Puzzle, tuple[str, int, int] | Non
     return Puzzle(n, labels, frozenset(rhombi)), cell
 
 
-def count_puzzles(u: String012, v: String012, w: String012) -> int:
-    return sum(1 for _ in enumerate_puzzles(u, v, w))
-
-
 def structure_constant(u: String012, v: String012, w: String012) -> YPoly:
     """Sum of weights over all puzzles with boundary ``(u, v, w)``."""
     out = YPoly()
@@ -210,38 +204,6 @@ def _bottom_rows(u: String012, v: String012) -> dict[tuple[int, ...], YPoly]:
             frontier = step
         states = {done: wt for (done, _, _), wt in frontier.items()}
     return {tuple(label for _, label in row): wt for row, wt in states.items()}
-
-
-def restriction_puzzle(w: String012) -> Puzzle:
-    """The unique puzzle with boundary ``(w, w, w)``: slanted edges carry
-    the boundary letters straight through, with a rhombus at every
-    inversion of ``w``.
-
-    >>> from .strings import parse, extreme_constant
-    >>> P = restriction_puzzle(parse("2010"))
-    >>> P.boundary() == (parse("2010"),) * 3
-    True
-    >>> P.weight() == extreme_constant(parse("2010"))
-    True
-    """
-    n = len(w)
-    t = tables()
-    labels: dict[Edge, int] = {}
-    rhombi: set[tuple[int, int, int]] = set()
-    for yy in range(n):
-        for x in range(yy + 1):
-            q = w[n - yy + x - 1]  # right projection
-            p = w[x]  # left projection
-            labels[("A", x, yy)] = q
-            labels[("B", x, yy)] = p
-            if p > q:
-                rhombi.add((x, yy, 0))
-            else:
-                done = complete_triangle("up", left=q, right=p)
-                if done is None:
-                    raise InvariantViolation(f"no up-triangle with sides {(q, p)}")
-                labels[("H", x, yy)] = done[2]
-    return _checked(Puzzle(n, labels, frozenset(rhombi)))
 
 
 if __name__ == "__main__":

@@ -6,7 +6,9 @@ row-by-row backtracking sweep it replaced, so that the differential
 tests compare the walk, and the row-transfer products, with a search
 that shares none of their code: within row ``y`` it decides
 ``U(0,y), D(0,y), U(1,y), ..., U(y,y)`` in order, keeping one mutable
-label dict and undoing the labels each branch placed.
+label dict and undoing the labels each branch placed.  It also keeps
+``restriction_puzzle``, a direct construction of the one puzzle with
+boundary ``(w, w, w)``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from twostep.board import (
     rhombus_outer_edges,
     up_cell_edges,
 )
-from twostep.labels import tables
+from twostep.labels import complete_triangle, tables
 from twostep.strings import String012, content
 
 
@@ -183,3 +185,26 @@ def structure_constant(u: String012, v: String012, w: String012) -> YPoly:
     for P in enumerate_puzzles(u, v, w):
         out = out + P.weight()
     return out
+
+
+def restriction_puzzle(w: String012) -> Puzzle:
+    """The unique puzzle with boundary ``(w, w, w)``: slanted edges carry
+    the boundary letters straight through, with a rhombus at every
+    inversion of ``w``."""
+    n = len(w)
+    labels: dict[Edge, int] = {}
+    rhombi: set[tuple[int, int, int]] = set()
+    for yy in range(n):
+        for x in range(yy + 1):
+            q = w[n - yy + x - 1]  # right projection
+            p = w[x]  # left projection
+            labels[("A", x, yy)] = q
+            labels[("B", x, yy)] = p
+            if p > q:
+                rhombi.add((x, yy, 0))
+            else:
+                done = complete_triangle("up", left=q, right=p)
+                if done is None:
+                    raise InvariantViolation(f"no up-triangle with sides {(q, p)}")
+                labels[("H", x, yy)] = done[2]
+    return _checked(Puzzle(n, labels, frozenset(rhombi)))

@@ -16,7 +16,6 @@ from twostep.algebra import (
     format_poly,
     graham_decompose,
     is_graham_positive,
-    parse_poly,
     y,
     zeta_pow,
 )
@@ -75,13 +74,8 @@ class TestYPoly:
         if p and q:
             assert (p * q).degree() == p.degree() + q.degree()
 
-    @given(ypolys())
-    def test_format_parse_round_trip(self, p):
-        assert parse_poly(format_poly(p)) == p
-
-    def test_parse_examples(self):
-        assert parse_poly("1*y4 - 1*y1") == y(4) - y(1)
-        assert parse_poly("0") == YPoly()
+    def test_format_examples(self):
+        assert format_poly(YPoly()) == "0"
         assert format_poly(YPoly.const(1)) == "1"
         assert format_poly(y(4) - y(1)) == "-1*y1 + 1*y4"
 
@@ -159,18 +153,9 @@ class TestTower:
         assert Tower.zeta(12) == Tower.const(1)
         assert Tower.zeta(6) == -Tower.const(1)
 
-    @given(ypolys())
-    def test_ypoly_round_trip(self, p):
-        assert Tower.from_ypoly(p).to_ypoly() == p
-
     def test_delta_square_rejected(self):
         with pytest.raises(ValueError):
             Tower.delta(0) * Tower.delta(1)
-
-    def test_specialize_delta(self):
-        t = Tower.delta(0) - Tower.delta(2)
-        assert t.specialize_delta((2, 1, 0)) == Tower.const(2)
-        assert t.specialize_delta((0, 0, 0)) == Tower.zero()
 
     @given(ypolys(), ypolys())
     def test_from_ypoly_is_ring_map(self, p, q):

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from conftest import demo_puzzle
 
 from twostep.algebra import Tower
 from twostep.aura import (
@@ -16,13 +17,11 @@ from twostep.aura import (
     check_scab_weight,
     check_temporary_sum,
     check_two_sums,
-    edge_aura,
     equivariant_flawed_aura,
     flawed_aura,
     gamma_form,
     gash_aura,
 )
-from twostep.board import demo_puzzle
 from twostep.mutation import enumerate_flawed, mutation_component, opposite
 from twostep.strings import all_strings, parse
 
@@ -35,17 +34,19 @@ def test_aura_table_shape():
 
 def test_simple_edge_auras():
     # simple label a seen from direction d: delta_a * zeta^(2d+1)
+    t = aura_table()
     for d in range(6):
         for a in range(3):
-            assert edge_aura(d, a) == Tower.delta(a) * Tower.zeta(2 * d + 1)
+            assert t[(d, a)] == Tower.delta(a) * Tower.zeta(2 * d + 1)
 
 
 def test_composed_edge_auras():
     # horizontal edge, composed labels seen from above (d = 1)
     z = Tower.zeta
     d0, d1, d2 = Tower.delta(0), Tower.delta(1), Tower.delta(2)
-    assert edge_aura(1, 3) == d1 * z(5) + d0 * z(1)
-    assert edge_aura(1, 4) == d1 * z(1) + d2 * z(5)
+    t = aura_table()
+    assert t[(1, 3)] == d1 * z(5) + d0 * z(1)
+    assert t[(1, 4)] == d1 * z(1) + d2 * z(5)
 
 
 def test_rotation_equivariance():

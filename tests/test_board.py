@@ -3,12 +3,12 @@
 import json
 
 import pytest
+from conftest import demo_puzzle
 
 from twostep.algebra import YPoly, y
 from twostep.board import (
     Puzzle,
     all_edges,
-    demo_puzzle,
     down_cell_edges,
     down_cells,
     edge_weight,

@@ -11,13 +11,13 @@ import subprocess
 import sys
 
 import pytest
+from conftest import table_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twostep.board import puzzle_to_json
 from twostep.cli import main
-from twostep.labels import default_table_text
-from twostep.mutation import scab_positions
+from twostep.mutation import enumerate_flawed, scab_positions
 from twostep.search import enumerate_puzzles
 from twostep.strings import all_strings, parse
 
@@ -287,7 +287,7 @@ def test_verify_pieces_reports_invalid_tables(capsys, tmp_path, monkeypatch):
     # the default tables with one rhombus changed leave a scab unresolved
     path = tmp_path / "tables.txt"
     path.write_text(
-        default_table_text().replace("rhombus 4 3\n", "rhombus 5 5\n")
+        table_text().replace("rhombus 4 3\n", "rhombus 5 5\n")
     )
     monkeypatch.setenv("PUZZLE_TABLE_PATH", str(path))
     code, out, err = run(capsys, "verify", "--suite", "pieces")
@@ -335,7 +335,7 @@ def test_invalid_table_override_is_input_error(capsys, tmp_path, monkeypatch, ar
     # reports them instead (test_verify_pieces_reports_invalid_tables)
     path = tmp_path / "tables.txt"
     path.write_text(
-        default_table_text().replace("rhombus 4 3\n", "rhombus 5 5\n")
+        table_text().replace("rhombus 4 3\n", "rhombus 5 5\n")
     )
     monkeypatch.setenv("PUZZLE_TABLE_PATH", str(path))
     code, out, err = run(capsys, *argv)
@@ -441,6 +441,59 @@ def test_verify_oracle_output_pinned(capsys):
         hashlib.sha256(out.encode()).hexdigest()
         == "d738f2368caf5379c174db5ecec29effbb1681205b8561575061a360c8cdc039"
     )
+
+
+# sha256 of stdout, recorded before the aura suite ran the per-flaw
+# identities and the mutation suite the duality check; both pass, so
+# the report is unchanged
+@pytest.mark.parametrize(
+    "suite, sha256",
+    [
+        pytest.param(
+            "mutation",
+            "43384b8175fa4e704add6d6258c0bc00c3b470d0015a15b25a4ad4daf3210167",
+            id="mutation",
+        ),
+        pytest.param(
+            "aura", "aab673e844dc4678d5bee2e3b03f07e777462d2b25414cb5ee11b5bb5aae33ef", id="aura"
+        ),
+    ],
+)
+def test_verify_sweep_output_pinned(capsys, suite, sha256):
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--max-n", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "suite, name, kinds",
+    [
+        pytest.param("aura", "check_temporary_sum", {"temporary"}, id="temporary_sum"),
+        pytest.param("aura", "check_cover_aura", {"gashpair"}, id="cover_aura"),
+        pytest.param("aura", "check_scab_weight", {"scab"}, id="scab_weight"),
+        pytest.param(
+            "mutation", "dual_flawed", {"gashpair", "scab", "temporary"}, id="dual_flawed"
+        ),
+    ],
+)
+def test_verify_sweep_fails_when_a_check_fails(capsys, monkeypatch, suite, name, kinds):
+    # the suite named like the check's module must call the check: a
+    # failing report, or a dual that is a wrong puzzle, fails the suite;
+    # the wrong dual has size 4, so it equals no puzzle of the suite
+    other = next(enumerate_flawed(parse("0122"), parse("0122"), parse("0212")))
+    seen = set()
+
+    def broken(P):
+        seen.add(P.flaw_type)
+        if name == "dual_flawed":
+            return other
+        return {"check": name, "instance": "", "pass": False, "lhs": "1", "rhs": "0"}
+
+    monkeypatch.setattr(f"twostep.{suite}.{name}", broken)
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--max-n", "3")
+    assert code == 1
+    assert json.loads(out)["pass"] is False
+    assert seen == kinds
 
 
 def test_verify_gashes(capsys):

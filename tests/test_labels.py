@@ -1,12 +1,13 @@
 """Tests for the puzzle-piece label tables."""
 
 import pytest
+from conftest import table_text
 
 from twostep.labels import (
+    COMPOSED,
     SIMPLE,
     complete_triangle,
     dual_label,
-    label_to_string,
     tables,
     validate_tables,
 )
@@ -14,7 +15,7 @@ from twostep.labels import (
 
 def test_simple_labels():
     assert SIMPLE == (0, 1, 2)
-    assert [label_to_string(l) for l in range(3)] == ["0", "1", "2"]
+    assert COMPOSED == (3, 4, 5, 6, 7)
 
 
 def test_dual_label_involution():
@@ -67,10 +68,8 @@ def test_complete_triangle():
 
 
 def test_table_path_override(monkeypatch, tmp_path):
-    import twostep.labels as labels
-
     copy = tmp_path / "tables.txt"
-    copy.write_text(labels.default_table_text())
+    copy.write_text(table_text())
     monkeypatch.setenv("PUZZLE_TABLE_PATH", str(copy))
     assert validate_tables(tables()) == []
 
@@ -86,10 +85,8 @@ def test_table_path_override(monkeypatch, tmp_path):
     ],
 )
 def test_corrupt_table_rejected(monkeypatch, tmp_path, old, new, problem):
-    import twostep.labels as labels
-
     bad = tmp_path / "bad_tables.txt"
-    bad.write_text(labels.default_table_text().replace(old, new))
+    bad.write_text(table_text().replace(old, new))
     monkeypatch.setenv("PUZZLE_TABLE_PATH", str(bad))
     with pytest.raises(ValueError, match=problem):
         tables()
@@ -114,13 +111,11 @@ def _derived_tables():
 
 
 def test_derived_tables_have_one_owner(monkeypatch, tmp_path):
-    import twostep.labels as labels
-
     old = tables()
     for accessor, attr in _derived_tables():
         assert accessor() is attr(old)
     copy = tmp_path / "tables.txt"
-    copy.write_text(labels.default_table_text())
+    copy.write_text(table_text())
     monkeypatch.setenv("PUZZLE_TABLE_PATH", str(copy))
     new = tables()
     assert new is not old

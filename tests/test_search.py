@@ -8,6 +8,8 @@ import pytest
 
 import reference_oracle
 import reference_search
+from conftest import table_text
+from reference_search import restriction_puzzle
 from twostep.labels import tables
 from twostep.mutation import down_temporary_table, temporary_table
 from twostep.strings import (
@@ -21,11 +23,9 @@ from twostep.strings import (
     parse,
 )
 from twostep.search import (
-    count_puzzles,
     enumerate_one_special,
     enumerate_puzzles,
     product_expansion,
-    restriction_puzzle,
     structure_constant,
 )
 
@@ -41,7 +41,7 @@ def test_restriction_puzzle_properties():
 
 def test_mismatched_content_gives_nothing():
     u, w = parse("012"), parse("122")
-    assert count_puzzles(u, u, w) == 0
+    assert list(enumerate_puzzles(u, u, w)) == []
     sp_up, sp_down = set(temporary_table()), set(down_temporary_table())
     assert list(enumerate_one_special(u, u, w, sp_up, sp_down)) == []
 
@@ -194,7 +194,7 @@ def test_listing_rejects_unequal_lengths():
 
 def test_one_special_without_special_pieces_is_empty():
     u, v, w = parse("01201"), parse("10102"), parse("10210")
-    assert count_puzzles(u, v, w) == 2
+    assert len(list(enumerate_puzzles(u, v, w))) == 2
     assert list(enumerate_one_special(u, v, w, set(), set())) == []
 
 
@@ -205,12 +205,10 @@ def test_one_special_tables_are_kept_apart():
     u, v, w = parse("01201"), parse("10102"), parse("10210")
     assert len(list(enumerate_one_special(u, v, w, *tables().temporary_sets))) == 1
     assert list(enumerate_one_special(u, v, w, set(), set())) == []
-    assert count_puzzles(u, v, w) == 2
+    assert len(list(enumerate_puzzles(u, v, w))) == 2
 
 
 def test_step_moves_have_one_owner(monkeypatch, tmp_path):
-    import twostep.labels as labels
-
     u, v, w = (parse(s) for s in HEAVY_TRIPLES[1])
     old = tables()
     sp_up, sp_down = old.temporary_sets
@@ -221,7 +219,7 @@ def test_step_moves_have_one_owner(monkeypatch, tmp_path):
     assert all(filled.values())
 
     copy = tmp_path / "tables.txt"
-    copy.write_text(labels.default_table_text())
+    copy.write_text(table_text())
     monkeypatch.setenv("PUZZLE_TABLE_PATH", str(copy))
     new = tables()
     assert new is not old
