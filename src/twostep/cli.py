@@ -90,27 +90,27 @@ def _cmd_puzzles(args) -> int:
     u, v, w = (_parse_string(s) for s in (args.u, args.v, args.w))
     if not (content(u) == content(v) == content(w)):
         raise InputError("u, v, w have different contents")
+    puzzles = list(enumerate_puzzles(u, v, w))
     if args.out is not None:
         try:
             os.makedirs(args.out, exist_ok=True)
+            for i, P in enumerate(puzzles):
+                if args.render == "svg":
+                    path = os.path.join(args.out, f"puzzle_{i:03d}.svg")
+                    data = render_svg(P)
+                else:
+                    path = os.path.join(args.out, f"puzzle_{i:03d}.txt")
+                    data = render_text(P) + "\n"
+                with open(path, "w", encoding="utf-8") as f:
+                    f.write(data)
         except OSError as e:
             raise InputError(f"cannot write to --out {args.out!r}: {e}")
-    puzzles = list(enumerate_puzzles(u, v, w))
     print(f"count: {len(puzzles)}")
     for i, P in enumerate(puzzles):
         print(f"puzzle {i}: weight {format_poly(P.weight())}")
         if args.render == "text" and args.out is None:
             print(render_text(P))
     if args.out is not None:
-        for i, P in enumerate(puzzles):
-            if args.render == "svg":
-                path = os.path.join(args.out, f"puzzle_{i:03d}.svg")
-                data = render_svg(P)
-            else:
-                path = os.path.join(args.out, f"puzzle_{i:03d}.txt")
-                data = render_text(P) + "\n"
-            with open(path, "w", encoding="utf-8") as f:
-                f.write(data)
         print(f"wrote {len(puzzles)} file(s) to {args.out}")
     return 0
 

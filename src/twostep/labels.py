@@ -18,17 +18,14 @@ sides; opposite sides always agree.  The eight canonical rhombi are::
 
 Pieces may be rotated but never reflected.  :class:`PieceTables` owns
 the two tables and every table derived from them (lookup indices, the
-step moves of the row-state engine, gash classes, temporary-piece and
-scab tables, sliding gash sets, auras), each computed once per table
-value on first use.  :func:`validate_tables` gates everything
-downstream: it re-checks the counts, the one-replacement lemma behind
-gash propagation, label coverage, uniqueness of completion from two
-known sides, and the derived tables.
+step moves of the row-state engine, the ``replacements`` that move a
+gash across a triangle, gash classes, temporary-piece and scab tables,
+sliding gash sets, auras), each computed once per table value on first
+use.  :func:`validate_tables` gates everything downstream: it re-checks
+the counts, the one-replacement lemma behind gash propagation, label
+coverage, uniqueness of completion from two known sides, and the
+derived tables.
 
->>> complete_triangle("up", left=1, right=0)
-(1, 0, 3)
->>> complete_triangle("up", left=6, right=7) is None
-True
 >>> dual_label(3)
 4
 """
@@ -57,7 +54,6 @@ __all__ = [
     "tables",
     "load_tables",
     "validate_tables",
-    "complete_triangle",
 ]
 
 LABELS = tuple(range(8))
@@ -183,28 +179,37 @@ class PieceTables:
     # -- gash propagation ----------------------------------------------------
 
     @cached_property
+    def replacements(self) -> dict[tuple[str, Triple, int, int], tuple[int, int]]:
+        """``replacements[kind, piece, s, new]``: the exit side and its new
+        label when a gash enters the valid triangle ``piece`` of a ``"U"``
+        or ``"D"`` cell through side ``s`` and gives that side the label
+        ``new``.  The replacement piece keeps exactly one other side, and
+        the gash leaves through the third.  Raises ValueError when a gash
+        has two replacement pieces."""
+        out: dict[tuple[str, Triple, int, int], tuple[int, int]] = {}
+        for kind, triples in (("U", self.up_list), ("D", self.down_list)):
+            for q in triples:
+                for q2 in triples:
+                    for s in range(3):
+                        agree = [i for i in range(3) if i != s and q[i] == q2[i]]
+                        if q2[s] == q[s] or len(agree) != 1:
+                            continue
+                        key = (kind, q, s, q2[s])
+                        if key in out:
+                            raise ValueError(f"gash {key} has two replacement pieces")
+                        s2 = 3 - s - agree[0]
+                        out[key] = (s2, q2[s2])
+        return out
+
+    @cached_property
     def moves(self) -> frozenset[tuple[AbstractGash, AbstractGash]]:
         """The symmetric "immediately reachable" relation on directed
-        gashes, computed by scanning all single-triangle propagation
-        templates."""
+        gashes: each replacement joins the entering and leaving gash."""
         rel: set[tuple[AbstractGash, AbstractGash]] = set()
-        for triples, ins, outs in (
-            (self.up_list, IN_UP, OUT_UP),
-            (self.down_list, IN_DOWN, OUT_DOWN),
-        ):
-            for q in triples:
-                for s in range(3):
-                    for q2 in triples:
-                        if q2[s] == q[s]:
-                            continue
-                        agree = [i for i in range(3) if i != s and q[i] == q2[i]]
-                        if len(agree) != 1:
-                            continue
-                        s2 = 3 - s - agree[0]
-                        g = (ins[s], q[s], q2[s])
-                        h = (outs[s2], q[s2], q2[s2])
-                        rel.add((g, h))
-                        rel.add((h, g))
+        for (kind, q, s, new), (s2, new2) in self.replacements.items():
+            ins, outs = (IN_UP, OUT_UP) if kind == "U" else (IN_DOWN, OUT_DOWN)
+            g, h = (ins[s], q[s], new), (outs[s2], q[s2], new2)
+            rel.update(((g, h), (h, g)))
         return frozenset(rel)
 
     @cached_property
@@ -462,8 +467,9 @@ def validate_tables(t: Optional[PieceTables] = None) -> list[str]:
     (iii) every composed label appears on some triangle; (iv) completion
     from two known sides never has two solutions; (v) both tables are
     closed under dualization.  Tables passing these must also derive
-    (vi) a unique resolution for every temporary piece and every scab,
-    and a complete, consistent, rotation-equivariant aura table.
+    (vi) at most one replacement piece for every gash entering a
+    triangle, a unique resolution for every temporary piece and every
+    scab, and a complete, consistent, rotation-equivariant aura table.
 
     >>> validate_tables()
     []
@@ -529,41 +535,10 @@ def validate_tables(t: Optional[PieceTables] = None) -> list[str]:
     # raises ValueError on a violation
     if not out:
         try:
-            t.temporaries, t.scabs, t.aura
+            t.replacements, t.temporaries, t.scabs, t.aura
         except ValueError as e:
             out.append(str(e))
     return out
-
-
-def complete_triangle(orientation: str, **sides: int):
-    """Complete a triangle from two known sides; ``None`` if impossible.
-
-    ``orientation`` is ``"up"`` (sides ``left``, ``right``,
-    ``horizontal``) or ``"down"`` (sides ``nw``, ``ne``, ``top``).
-    Returns the full label triple in the frame's side order
-    (up: left, right, horizontal; down: nw, ne, top).
-
-    >>> complete_triangle("up", left=0, right=0)
-    (0, 0, 0)
-    >>> complete_triangle("down", nw=0, top=3)
-    (0, 1, 3)
-    """
-    if orientation not in ("up", "down"):
-        raise ValueError("orientation must be 'up' or 'down'")
-    if len(sides) != 2:
-        raise ValueError("exactly two sides must be given")
-    t = tables()
-    if orientation == "up":
-        names, triples = ("left", "right", "horizontal"), t.up_list
-    else:
-        names, triples = ("nw", "ne", "top"), t.down_list
-    # at most one solution: ``tables()`` passed check (iv) of ``validate_tables``
-    solutions = []
-    for tri in triples:
-        vals = dict(zip(names, tri))
-        if all(vals[k] == v for k, v in sides.items()):
-            solutions.append(tri)
-    return solutions[0] if solutions else None
 
 
 if __name__ == "__main__":

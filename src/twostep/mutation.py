@@ -12,11 +12,12 @@ SW-NE.  There are ``6 * 8 * 7 = 336`` directed gashes.
 Propagation moves a gash across the piece it points at: across a
 rhombus it slides to the opposite side unchanged (when the modified
 rhombus is still a valid piece), and across a triangle there is at most
-one valid replacement piece (so at most one move).  The classes of the
-reachability relation, the temporary-piece table, and the scab table
-are all *computed* from the triangle/rhombus tables rather than
-transcribed; :class:`~.labels.PieceTables` derives and keeps them, and
-the functions here read them from the current ``tables()`` value.
+one valid replacement piece (so at most one move).  The replacement
+table, the classes of the reachability relation, the temporary-piece
+table, and the scab table are all *computed* from the triangle/rhombus
+tables rather than transcribed; :class:`~.labels.PieceTables` derives
+and keeps them, and the functions here read them from the current
+``tables()`` value.
 
 A *gashed puzzle* is a :class:`~.board.Puzzle` plus two directed
 gashes, and a *flawed puzzle* is a ``Puzzle`` plus exactly one flaw: a
@@ -53,7 +54,7 @@ from .board import (
     rhombus_outer_edges,
     up_cell_edges,
 )
-from .labels import OUT_DOWN, OUT_UP, SIMPLE, AbstractGash, PieceTables, complete_triangle, tables
+from .labels import OUT_DOWN, OUT_UP, SIMPLE, AbstractGash, PieceTables, tables
 from .search import enumerate_one_special, enumerate_puzzles
 from .strings import String012, covers, cocovers, fmt
 
@@ -212,13 +213,13 @@ def scab_positions(P: Puzzle) -> list[tuple[int, int]]:
     """Anchors ``(x, y)`` of all scabs in a puzzle: vertically adjacent
     triangle pairs that are not 180-degree rotations of each other."""
     ups, downs = P.covered_cells()
+    scabs = tables().scabs
     out = []
     for yy in range(P.n - 1):
         for x in range(yy + 1):
             if (x, yy) in ups or (x, yy + 1) in downs:
                 continue
-            s = _scab_at(P.labels, x, yy)
-            if (s[3], s[2]) != (s[1], s[0]):
+            if _scab_at(P.labels, x, yy) in scabs:
                 out.append((x, yy))
     return out
 
@@ -258,77 +259,68 @@ class FlawRecognitionError(Exception):
     flaw's border strings do not form a Bruhat cover."""
 
 
-def _step(G: GashedPuzzle, g: PlacedGash, t: PieceTables):
-    """One propagation under the piece tables ``t``. Returns (new
-    GashedPuzzle, new PlacedGash), "stuck", or "blocked" (another gash
-    on the target piece)."""
-    B = G.base
+def _step(
+    B: Puzzle, labels: dict, g: PlacedGash, blocked: set, t: PieceTables
+) -> Optional[PlacedGash]:
+    """Move ``g`` across the piece it points at, editing ``labels`` (the
+    labels of ``B`` less the gash edges) in place.  Returns the moved
+    gash, or None when ``g`` is stuck: at the border, at a piece with an
+    edge in ``blocked`` (another gash), or with no valid replacement."""
     cell = cell_ahead(g.edge, g.d, B.n)
     if cell is None:
-        return "stuck"
-    other_edges = {h.edge for h in G.gashes if h != g}
-    r0 = B.rhombus_at(cell)
-    if r0 is not None:
-        p_pair, q_pair = rhombus_outer_edges(r0)
-        if other_edges & (set(p_pair) | set(q_pair)):
-            return "blocked"
-        # read each pair's label from its non-gashed member
-        p = B.labels[p_pair[1] if p_pair[0] == g.edge else p_pair[0]]
-        q = B.labels[q_pair[1] if q_pair[0] == g.edge else q_pair[0]]
-        if g.edge in p_pair:
-            orig, newpq, pair = p, (g.new, q), p_pair
-        else:
-            orig, newpq, pair = q, (p, g.new), q_pair
-        if g.orig != orig:
-            raise InvariantViolation(f"gash {g} disagrees with rhombus {r0}")
-        if newpq not in t.rhombi:
-            return "stuck"
-        ng = PlacedGash(pair[0] if pair[1] == g.edge else pair[1], g.d, g.orig, g.new)
+        return None
+    r = B.rhombus_at(cell)
+    if r is not None:
+        p_pair, q_pair = rhombus_outer_edges(r)
+        if blocked.intersection(p_pair + q_pair):
+            return None
+        pair, other = (p_pair, q_pair) if g.edge in p_pair else (q_pair, p_pair)
+        exit_edge = pair[1] if pair[0] == g.edge else pair[0]
+        if labels[exit_edge] != g.orig:
+            raise InvariantViolation(f"gash {g} disagrees with rhombus {r}")
+        kept = labels[other[0]]
+        if ((g.new, kept) if pair is p_pair else (kept, g.new)) not in t.rhombi:
+            return None
+        ng = PlacedGash(exit_edge, g.d, g.orig, g.new)
     else:
         edges = cell_sides(cell)
-        if other_edges & set(edges):
-            return "blocked"
+        if blocked.intersection(edges):
+            return None
         s = edges.index(g.edge)
-        q = tuple(g.orig if i == s else B.labels[edges[i]] for i in range(3))
-        triples = t.up_list if cell[0] == "U" else t.down_list
-        cands = []
-        for q2 in triples:
-            if q2[s] != g.new:
-                continue
-            agree = [i for i in range(3) if i != s and q2[i] == q[i]]
-            if len(agree) == 1:
-                cands.append((q2, agree[0]))
-        if not cands:
-            return "stuck"
-        if len(cands) > 1:
-            raise InvariantViolation(f"gash {g} has replacements {cands} at {cell}")
-        q2, s1 = cands[0]
-        s2 = ({0, 1, 2} - {s, s1}).pop()
+        piece = tuple(g.orig if e == g.edge else labels[e] for e in edges)
+        hit = t.replacements.get((cell[0], piece, s, g.new))
+        if hit is None:
+            if not (t.valid_up if cell[0] == "U" else t.valid_down)(*piece):
+                raise InvariantViolation(f"gash {g} points at invalid piece {piece}")
+            return None
+        s2, new = hit
         outs = OUT_UP if cell[0] == "U" else OUT_DOWN
-        ng = PlacedGash(edges[s2], outs[s2], q[s2], q2[s2])
-    labels = dict(B.labels)
+        ng = PlacedGash(edges[s2], outs[s2], piece[s2], new)
     labels[g.edge] = g.new
     del labels[ng.edge]
-    return GashedPuzzle(Puzzle(B.n, labels, B.rhombi), (G.gashes - {g}) | {ng}), ng
+    return ng
 
 
 def propagate_full(
     G: GashedPuzzle, g: PlacedGash
 ) -> tuple[GashedPuzzle, PlacedGash, list[Edge]]:
     """Propagate until stuck; returns the final state, the final gash,
-    and the path of gashed edges (raising if an edge repeats)."""
+    and the path of gashed edges (raising if an edge repeats).  The
+    state is ``G`` itself when the gash does not move."""
     if g not in G.gashes:
         raise ValueError(f"gash {g} is not in this gashed puzzle")
-    path = [g.edge]
-    t = tables()
-    while True:
-        res = _step(G, g, t)
-        if res in ("stuck", "blocked"):
-            return G, g, path
-        G, g = res
-        if g.edge in path:
-            raise InvariantViolation(f"propagation revisited edge {g.edge}")
-        path.append(g.edge)
+    B, t = G.base, tables()
+    labels = dict(B.labels)
+    blocked = {h.edge for h in G.gashes if h != g}
+    path, f = [g.edge], g
+    while (moved := _step(B, labels, f, blocked, t)) is not None:
+        if moved.edge in path:
+            raise InvariantViolation(f"propagation revisited edge {moved.edge}")
+        path.append(moved.edge)
+        f = moved
+    if f is g:
+        return G, g, path
+    return GashedPuzzle(Puzzle(B.n, labels, B.rhombi), (G.gashes - {g}) | {f}), f, path
 
 
 def phi(G: GashedPuzzle) -> GashedPuzzle:
@@ -573,11 +565,10 @@ def recognize_flaw(G: GashedPuzzle) -> FlawedPuzzle:
         if o != 0:
             raise FlawRecognitionError(f"stuck gashes meet non-vertical rhombus {r1}")
         s = _scab_at(labels, x, yy)
-        if s in scab_table():
-            z = complete_triangle("up", left=s[0], right=s[1])
-            if z is None:
-                raise InvariantViolation(f"scab {s} has no top triangle")
-            labels[("H", x, yy)] = z[2]
+        t = tables()
+        if s in t.scabs:
+            # every scab's up-triangle (NW, NE, top) is a valid piece
+            labels[("H", x, yy)] = dict(t.up_by_left[s[0]])[s[1]]
             return FlawedPuzzle(Puzzle(n, labels, B.rhombi - {r1}), ("scab", (x, yy)))
     raise FlawRecognitionError(f"stuck gashes {sorted(G.gashes)} match no flaw")
 

@@ -82,9 +82,7 @@ def _walk(
 ) -> Iterator[tuple[Puzzle, tuple[str, int, int] | None]]:
     """Each tiling of ``(u, v, w)`` with no special piece (``special`` is
     None) or exactly one from the ``(up, down)`` sets ``special``, with
-    its special cell, in the order of the moves.  A ``(step, state,
-    special used)`` from which no tiling was found goes into ``dead`` and
-    is not entered again."""
+    its special cell, in the order of the moves."""
     n = len(u)
     if not (len(v) == len(w) == n):
         raise ValueError("boundary strings must have equal length")
@@ -100,25 +98,20 @@ def _walk(
     carry_next = [u[n - yy - 2] if yy < n - 1 else None for _, yy in steps]
     last = len(steps)
     path: list[tuple] = [()] * last
-    dead: set[tuple] = set()
-    found = 0
-    frames: list[tuple] = []  # (state, found before, moves not yet tried)
+    frames: list[tuple] = []  # (state, moves not yet tried)
     state = (0, (), u[-1] if n else None, (), False)
     while True:
         k, done, carry, above, used = state
         if k == last:
             if used == need:
-                found += 1
                 yield _build(u, v, w, zip(steps, path))
-        elif state not in dead:
+        else:
             over = above[0] if above else None
             key = (carry, over, border[k], bottom[k], need and not used)
-            frames.append((state, found, iter(moves[key])))
+            frames.append((state, iter(moves[key])))
         # back up to the innermost state with a move left
-        while frames and (move := next(frames[-1][2], None)) is None:
-            state, before, _ = frames.pop()
-            if found == before:
-                dead.add(state)
+        while frames and (move := next(frames[-1][1], None)) is None:
+            frames.pop()
         if not frames:
             return
         k, done, carry, above, used = frames[-1][0]

@@ -460,13 +460,14 @@ def gw_invariant(
     d: int,
     m: int,
     n: int,
-    constant_fn=None,
+    constant_fn,
 ) -> YPoly:
     """The degree-d Gromov-Witten invariant on Gr(m, n).
 
     Zero unless each of ``lam``, ``mu`` and the complement of ``nu``
     contains a d x d square; otherwise the two-step structure constant
-    on Fl(m-d, m+d; n) after the letter substitution.
+    ``constant_fn(u, v, w)`` on Fl(m-d, m+d; n) after the letter
+    substitution.
     """
     if d > min(m, n - m) or d < 0:
         return YPoly()
@@ -476,8 +477,6 @@ def gw_invariant(
     nd = dual_partition_string(ns)
     if not (contains_rect(ls, d) and contains_rect(ms, d) and contains_rect(nd, d)):
         return YPoly()
-    if constant_fn is None:
-        from .search import structure_constant as constant_fn  # noqa: PLC0415
     wt = tuple(reversed(jd_map(nd, d)))
     return constant_fn(jd_map(ls, d), jd_map(ms, d), wt)
 

@@ -24,7 +24,7 @@ from twostep.board import (
     rhombus_outer_edges,
     up_cell_edges,
 )
-from twostep.labels import complete_triangle, tables
+from twostep.labels import tables
 from twostep.strings import String012, content
 
 
@@ -192,6 +192,7 @@ def restriction_puzzle(w: String012) -> Puzzle:
     the boundary letters straight through, with a rhombus at every
     inversion of ``w``."""
     n = len(w)
+    up_by_left = tables().up_by_left
     labels: dict[Edge, int] = {}
     rhombi: set[tuple[int, int, int]] = set()
     for yy in range(n):
@@ -203,8 +204,8 @@ def restriction_puzzle(w: String012) -> Puzzle:
             if p > q:
                 rhombi.add((x, yy, 0))
             else:
-                done = complete_triangle("up", left=q, right=p)
-                if done is None:
+                bottom = dict(up_by_left.get(q, ())).get(p)
+                if bottom is None:
                     raise InvariantViolation(f"no up-triangle with sides {(q, p)}")
-                labels[("H", x, yy)] = done[2]
+                labels[("H", x, yy)] = bottom
     return _checked(Puzzle(n, labels, frozenset(rhombi)))

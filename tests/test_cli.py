@@ -108,6 +108,20 @@ def test_puzzles_out_is_a_file_is_input_error(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_puzzles_unwritable_file_is_input_error(capsys, tmp_path):
+    out_dir = tmp_path / "txt"
+    (out_dir / "puzzle_000.txt").mkdir(parents=True)
+    code, out, err = run(
+        capsys,
+        "puzzles",
+        "--u", "120", "--v", "120", "--w", "120",
+        "--out", str(out_dir),
+    )
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("input error: cannot write to --out")
+
+
 def scabbed_puzzle():
     for u, v, w in itertools.product(all_strings(1, 2, 4), repeat=3):
         for P in enumerate_puzzles(u, v, w):

@@ -6,7 +6,7 @@ from conftest import table_text
 from twostep.labels import (
     COMPOSED,
     SIMPLE,
-    complete_triangle,
+    PieceTables,
     dual_label,
     tables,
     validate_tables,
@@ -61,10 +61,12 @@ def test_dual_tables():
     )
 
 
-def test_complete_triangle():
-    assert complete_triangle("up", left=1, right=0) == (1, 0, 3)
-    assert complete_triangle("up", left=0, right=0) == (0, 0, 0)
-    assert complete_triangle("down", nw=0, top=3) == (0, 1, 3)
+def test_two_replacement_pieces_rejected():
+    # a gash entering (0,0,0) on its left side with label 1 could become
+    # (1,0,3) or (1,2,0)
+    t = PieceTables(((0, 0, 0), (1, 0, 3), (1, 2, 0)), ())
+    with pytest.raises(ValueError, match="two replacement pieces"):
+        t.replacements
 
 
 def test_table_path_override(monkeypatch, tmp_path):
@@ -99,6 +101,7 @@ def _derived_tables():
 
     g = (1, 1, 0)
     return [
+        (lambda: tables().replacements, lambda t: t.replacements),
         (mutation.immediate_moves, lambda t: t.moves),
         (lambda: mutation.gash_class(g), lambda t: t.gash_classes[g]),
         (mutation.temporary_table, lambda t: t.temporaries),

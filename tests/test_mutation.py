@@ -4,10 +4,13 @@ import hashlib
 import itertools
 import json
 import math
+import random
 from collections import Counter
 
 import pytest
 
+import reference_mutation
+import twostep.mutation
 from twostep.board import InvariantViolation, Puzzle, puzzle_from_json
 from twostep.mutation import (
     FlawedPuzzle,
@@ -30,6 +33,7 @@ from twostep.mutation import (
     mutations,
     opposite,
     phi,
+    propagate_full,
     psi,
     psi_infinity,
     recognize_flaw,
@@ -106,6 +110,54 @@ def test_phi_is_involution():
             assert phi(phi(R)) == R
             checked += 1
     assert checked > 100
+
+
+def test_propagation_matches_reference_n5_sample():
+    # the replacement-table step against the step that scans the piece
+    # lists, on the flawed puzzles of 600 random n = 5 triples
+    triples = [
+        (u, v, w)
+        for a, b, n in contents_up_to(5)
+        if n == 5
+        for u, v, w in itertools.product(all_strings(a, b, n), repeat=3)
+    ]
+    kinds = Counter()
+    for u, v, w in random.Random(12).sample(triples, 600):
+        for P in enumerate_flawed(u, v, w):
+            kinds[P.flaw_type] += 1
+            for R in P.resolutions():
+                assert phi(R) == reference_mutation.phi(R)
+                for g in R.gashes:
+                    assert propagate_full(R, g) == reference_mutation.propagate_full(R, g)
+    # 513 gash pairs, 151 temporary pieces and 500 scabs (1,466 resolutions)
+    assert min(kinds[k] for k in ("gashpair", "temporary", "scab")) >= 100
+
+
+def test_propagation_builds_one_puzzle_per_move(monkeypatch):
+    resolutions = [R for P in sample_flawed() for R in P.resolutions()]
+    built = []
+    build = twostep.mutation.Puzzle
+    monkeypatch.setattr(twostep.mutation, "Puzzle", lambda *a: built.append(1) or build(*a))
+    moved = stuck = 0
+    for R in resolutions:
+        for g in R.gashes:
+            built.clear()
+            G, f, path = propagate_full(R, g)
+            if len(path) > 1:
+                assert len(built) == 1
+                moved += 1
+            else:
+                assert (built, G, f) == ([], R, g)
+                stuck += 1
+    assert moved and stuck
+
+
+def test_propagation_rejects_invalid_piece_ahead():
+    # the gash points north into U(0,0), whose sides would read (0, 1, 2)
+    g = PlacedGash(("H", 0, 0), 1, 2, 0)
+    G = GashedPuzzle(Puzzle(1, {("A", 0, 0): 0, ("B", 0, 0): 1}), frozenset({g}))
+    with pytest.raises(InvariantViolation, match="invalid piece"):
+        propagate_full(G, g)
 
 
 def test_mutate_preserves_boundary_and_weight_degree():
