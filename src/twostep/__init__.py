@@ -5,9 +5,9 @@ Subpackages/modules:
 - ``algebra``: exact arithmetic in ``Z[zeta_12]``, sparse integer
   polynomials in y-variables, the delta-linear tower ring, exact division
   by linear forms, and the difference-basis (positivity) decomposition.
-- ``labels``: the eight edge labels, the canonical triangle/rhombus piece
-  tables and every table derived from them, rotation/dualization,
-  two-side completion, table validation.
+- ``labels``: the eight edge labels and their duals, the canonical
+  triangle/rhombus piece tables and every table derived from them, and
+  table validation.
 - ``strings``: 012-strings, Bruhat covers, the recursion oracle for
   structure constants, the Chevalley rule, and the quantum layer.
 - ``board``: triangular-lattice geometry, puzzles, boundaries, weights,

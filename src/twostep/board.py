@@ -17,18 +17,15 @@ so ``D(x,y)`` has NW side ``B(x,y)``, NE side ``A(x+1,y)`` and top side
 bottom left-right (``w_i = H(i-1, n-1)``), all "left to right" along the
 border.
 
-A rhombus occurrence is ``(x, y, o)``: it covers up-cell ``U(x,y)`` plus
-one adjacent down-cell -- ``o = 0`` vertical with ``D(x,y+1)`` below,
-``o = 1`` with ``D(x-1,y)`` across the left side, ``o = 2`` with
-``D(x,y)`` across the right side.  Equivariant puzzles use only vertical
-rhombi; the other orientations exist so whole puzzles can be rotated.
-A vertical rhombus at ``U(x,y)`` spans the bottom-edge positions
-``(i, j) = (x+1, n-y+x)`` and carries weight ``y_j - y_i``.  The
-unique puzzle with boundary ``(10, 10, 10)`` has one rhombus:
+A rhombus occurrence is ``(x, y)``: the vertical rhombus made of
+up-cell ``U(x,y)`` over down-cell ``D(x,y+1)``, the only rhombus of the
+equivariant puzzle rule.  It spans the bottom-edge positions
+``(i, j) = (x+1, n-y+x)`` and carries weight ``y_j - y_i``.  The unique
+puzzle with boundary ``(10, 10, 10)`` has one rhombus:
 
 >>> from .strings import parse
 >>> P = Puzzle(2, {("A", 0, 0): 0, ("B", 0, 0): 1, ("A", 0, 1): 1, ("B", 0, 1): 1,
-...     ("H", 0, 1): 1, ("A", 1, 1): 0, ("B", 1, 1): 0, ("H", 1, 1): 0}, frozenset({(0, 0, 0)}))
+...     ("H", 0, 1): 1, ("A", 1, 1): 0, ("B", 1, 1): 0, ("H", 1, 1): 0}, frozenset({(0, 0)}))
 >>> P.boundary() == (parse("10"), parse("10"), parse("10"))
 True
 >>> P.validate()
@@ -40,6 +37,7 @@ True
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -67,7 +65,7 @@ __all__ = [
 ]
 
 Edge = tuple[str, int, int]  # ("A"|"B"|"H", x, y)
-Rhombus = tuple[int, int, int]  # (x, y, orientation 0|1|2)
+Rhombus = tuple[int, int]  # (x, y): U(x,y) over D(x,y+1)
 
 
 def up_cells(n: int) -> Iterator[tuple[int, int]]:
@@ -92,41 +90,25 @@ def down_cell_edges(x: int, yy: int) -> tuple[Edge, Edge, Edge]:
     return (("B", x, yy), ("A", x + 1, yy), ("H", x, yy - 1))
 
 
-def rhombus_cells(r: Rhombus) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(up-cell, down-cell) covered by a rhombus occurrence."""
-    x, yy, o = r
-    if o == 0:
-        return ((x, yy), (x, yy + 1))
-    if o == 1:
-        return ((x, yy), (x - 1, yy))
-    if o == 2:
-        return ((x, yy), (x, yy))
-    raise ValueError(f"bad rhombus orientation in {r!r}")
+def on_board(cell: tuple[str, int, int], n: int) -> bool:
+    """Whether the cell ``("U"|"D", x, y)`` lies on the size-``n`` board."""
+    kind, x, yy = cell
+    if kind == "U":
+        return 0 <= x <= yy <= n - 1
+    return kind == "D" and 0 <= x < yy <= n - 1
 
 
 def rhombus_inner_edge(r: Rhombus) -> Edge:
     """The unlabeled edge interior to a rhombus occurrence."""
-    x, yy, o = r
-    return (("H", x, yy), ("A", x, yy), ("B", x, yy))[o]
+    return ("H", *r)
 
 
 def rhombus_outer_edges(r: Rhombus) -> tuple[tuple[Edge, Edge], tuple[Edge, Edge]]:
-    """The two opposite-side pairs ``(p_pair, q_pair)`` of a rhombus.
-
-    For a vertical rhombus the ``p`` sides are the NW-SE ones (the
-    up-cell's right side and the down-cell's NW side) and the ``q``
-    sides the SW-NE ones; rotating by 120 degrees advances the roles
-    (o=1: p on horizontals, q on NW-SE; o=2: p on SW-NE, q on
-    horizontals).
-    """
-    x, yy, o = r
-    if o == 0:
-        return ((("B", x, yy), ("B", x, yy + 1)), (("A", x, yy), ("A", x + 1, yy + 1)))
-    if o == 1:
-        return ((("H", x, yy), ("H", x - 1, yy - 1)), (("B", x, yy), ("B", x - 1, yy)))
-    if o == 2:
-        return ((("A", x, yy), ("A", x + 1, yy)), (("H", x, yy), ("H", x, yy - 1)))
-    raise ValueError(f"bad rhombus orientation in {r!r}")
+    """The two opposite-side pairs ``(p_pair, q_pair)`` of a rhombus: the
+    ``p`` sides are the NW-SE ones (the up-cell's right side and the
+    down-cell's NW side), the ``q`` sides the SW-NE ones."""
+    x, yy = r
+    return ((("B", x, yy), ("B", x, yy + 1)), (("A", x, yy), ("A", x + 1, yy + 1)))
 
 
 def all_edges(n: int) -> list[Edge]:
@@ -188,22 +170,15 @@ class Puzzle:
 
     # -- structure ---------------------------------------------------------
 
-    def covered_cells(self) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
+    def covered_cells(self) -> tuple[frozenset[tuple[int, int]], frozenset[tuple[int, int]]]:
         """(up-cells, down-cells) covered by rhombi."""
-        ups, downs = set(), set()
-        for r in self.rhombi:
-            u, d = rhombus_cells(r)
-            ups.add(u)
-            downs.add(d)
-        return ups, downs
+        return self.rhombi, frozenset((x, yy + 1) for x, yy in self.rhombi)
 
     def rhombus_at(self, cell: tuple[str, int, int]) -> Rhombus | None:
         """The rhombus covering ``cell`` (``("U"|"D", x, y)``), if any."""
-        for r in self.rhombi:
-            up, down = rhombus_cells(r)
-            if cell == ("U",) + up or cell == ("D",) + down:
-                return r
-        return None
+        kind, x, yy = cell
+        r = (x, yy) if kind == "U" else (x, yy - 1)
+        return r if r in self.rhombi else None
 
     def internal_edges(self) -> set[Edge]:
         return {rhombus_inner_edge(r) for r in self.rhombi}
@@ -221,11 +196,9 @@ class Puzzle:
         out: list[str] = []
         n = self.n
         ups, downs = self.covered_cells()
-        if len(ups) + len(downs) != 2 * len(self.rhombi):
-            out.append("overlapping rhombi")
         for r in sorted(self.rhombi):
-            up, down = rhombus_cells(r)
-            if not (0 <= up[0] <= up[1] < n and 0 <= down[0] < down[1] < n):
+            x, yy = r
+            if not 0 <= x <= yy < n - 1:
                 out.append(f"rhombus {r} leaves the board")
         internal = self.internal_edges()
         for e in all_edges(n):
@@ -261,52 +234,15 @@ class Puzzle:
 
     # -- weights -----------------------------------------------------------
 
-    def vertical_rhombi(self) -> list[tuple[int, int]]:
-        if any(o for (_, _, o) in self.rhombi):
-            raise ValueError("puzzle contains non-vertical rhombi")
-        return sorted((x, yy) for (x, yy, _) in self.rhombi)
-
     def weight(self) -> YPoly:
-        """Product of ``y_j - y_i`` over all rhombi (all must be vertical)."""
+        """Product of ``y_j - y_i`` over all rhombi."""
         out = YPoly.const(1)
-        for x, yy in self.vertical_rhombi():
+        for x, yy in sorted(self.rhombi):
             i, j = rhombus_position(x, yy, self.n)
             out = out * (y(j) - y(i))
         return out
 
     # -- symmetries --------------------------------------------------------
-
-    def rotate(self, k: int) -> "Puzzle":
-        """Rotate by ``k`` sixth-turns; ``k`` must be even (a triangular
-        region maps to itself only under 120-degree steps).
-
-        One step of 2 maps the left border onto the right border; the
-        boundary transforms as ``(u, v, w) -> (rev w, u, rev v)``.
-        """
-        if k % 2:
-            raise ValueError("triangular puzzles rotate by even sixth-turns only")
-        P = self
-        for _ in range((k // 2) % 3):
-            P = P._rotate120()
-        return P
-
-    def _rotate120(self) -> "Puzzle":
-        n = self.n
-
-        def cell(x: int, yy: int) -> tuple[int, int]:
-            return (n - 1 - yy, n - 1 - yy + x)
-
-        labels: dict[Edge, int] = {}
-        for x, yy in up_cells(n):
-            cx, cy = cell(x, yy)
-            for src, dst in (("A", "B"), ("B", "H"), ("H", "A")):
-                if (src, x, yy) in self.labels:
-                    labels[(dst, cx, cy)] = self.labels[(src, x, yy)]
-        rhombi = set()
-        for x, yy, o in self.rhombi:
-            cx, cy = cell(x, yy)
-            rhombi.add((cx, cy, (o + 1) % 3))
-        return Puzzle(n, labels, frozenset(rhombi))
 
     def dual(self) -> "Puzzle":
         """Reflect in a vertical line and substitute dual labels."""
@@ -319,10 +255,8 @@ class Puzzle:
                 labels[("A", yy - x, yy)] = dual_label(self.labels[("B", x, yy)])
             if ("H", x, yy) in self.labels:
                 labels[("H", yy - x, yy)] = dual_label(self.labels[("H", x, yy)])
-        rhombi = set()
-        for x, yy, o in self.rhombi:
-            rhombi.add((yy - x, yy, (0, 2, 1)[o]))
-        return Puzzle(n, labels, frozenset(rhombi))
+        rhombi = frozenset((yy - x, yy) for x, yy in self.rhombi)
+        return Puzzle(n, labels, rhombi)
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +273,8 @@ def puzzle_to_json(P: Puzzle) -> str:
         pieces.append(
             {
                 "kind": "rhombus",
-                "orientation": 2 * r[2],
-                "anchor": [r[0], r[1]],
+                "orientation": 0,
+                "anchor": list(r),
                 "labels": [P.labels[p_pair[0]], P.labels[q_pair[0]]],
             }
         )
@@ -368,7 +302,13 @@ def puzzle_to_json(P: Puzzle) -> str:
 
 
 def puzzle_from_json(text: str) -> Puzzle:
-    """Parse the piece-list JSON schema back into a puzzle."""
+    """Parse the piece-list JSON schema back into a puzzle.
+
+    Each piece must lie on the board, cover no cell that another piece
+    covers, carry three labels (a triangle) or two (a rhombus), and
+    agree with the pieces next to it on their shared edges.  A rhombus
+    must be vertical (orientation 0).  Anything else is a ``ValueError``.
+    """
     data = json.loads(text)
     region = data["region"]
     nonzero = [s for s in region if s]
@@ -379,32 +319,38 @@ def puzzle_from_json(text: str) -> Puzzle:
         raise ValueError(f"region side {n!r} is not an integer")
     labels: dict[Edge, int] = {}
     rhombi: set[Rhombus] = set()
+    covered: set[tuple[str, int, int]] = set()
     for piece in data["pieces"]:
         x, yy = piece["anchor"]
         kind = piece["kind"]
         lab = piece["labels"]
-        if not all(type(k) is int for k in (x, yy, *lab)):
-            raise ValueError(f"non-integer anchor or label in {piece!r}")
-        orient = piece.get("orientation", 0) % 6
+        orient = piece.get("orientation", 0)
+        if not all(type(k) is int for k in (x, yy, orient, *lab)):
+            raise ValueError(f"non-integer anchor, orientation or label in {piece!r}")
         if kind == "rhombus":
-            if orient % 2:
-                raise ValueError("rhombus orientation must be even")
-            r = (x, yy, orient // 2)
-            p_pair, q_pair = rhombus_outer_edges(r)
-            p, q = lab
-            for e in p_pair:
-                labels[e] = p
-            for e in q_pair:
-                labels[e] = q
-            rhombi.add(r)
-        elif kind == "triangle" and orient % 6 == 0:
-            for e, l in zip(up_cell_edges(x, yy), lab):
-                labels[e] = l
-        elif kind == "triangle" and orient % 6 == 3:
-            for e, l in zip(down_cell_edges(x, yy), lab):
-                labels[e] = l
+            if orient % 6:
+                raise ValueError(f"rhombus at {(x, yy)} has orientation {orient}, not 0")
+            cells = [("U", x, yy), ("D", x, yy + 1)]
+            sides = rhombus_outer_edges((x, yy))
+            rhombi.add((x, yy))
+        elif kind == "triangle" and orient % 6 in (0, 3):
+            up = orient % 6 == 0
+            cells = [("U" if up else "D", x, yy)]
+            sides = tuple((e,) for e in (up_cell_edges if up else down_cell_edges)(x, yy))
         else:
             raise ValueError(f"bad piece {piece!r}")
+        if len(lab) != len(sides):
+            raise ValueError(f"a {kind} takes {len(sides)} labels: {piece!r}")
+        for cell in cells:
+            if not on_board(cell, n):
+                raise ValueError(f"piece {piece!r} leaves the board")
+            if cell in covered:
+                raise ValueError(f"two pieces cover cell {cell}")
+            covered.add(cell)
+        for side, l in zip(sides, lab):
+            for e in side:
+                if labels.setdefault(e, l) != l:
+                    raise ValueError(f"edge {e} is labeled both {labels[e]} and {l}")
     return Puzzle(n, labels, frozenset(rhombi))
 
 
@@ -458,19 +404,16 @@ def render_svg(P: Puzzle) -> str:
         )
 
     for r in sorted(P.rhombi):
-        up, down = rhombus_cells(r)
-        ux, uy = up
-        a = _vertex_xy(ux, uy, scale)
-        bl = _vertex_xy(ux, uy + 1, scale)
-        br = _vertex_xy(ux + 1, uy + 1, scale)
-        dx, dy = down
-        dtl = _vertex_xy(dx, dy, scale)
-        dtr = _vertex_xy(dx + 1, dy, scale)
-        dbot = _vertex_xy(dx + 1, dy + 1, scale)
-        quad = {p for p in (a, bl, br, dtl, dtr, dbot)}
-        # order the four distinct corners around the rhombus centroid
-        import math
-
+        x, yy = r
+        quad = {
+            _vertex_xy(x, yy, scale),
+            _vertex_xy(x, yy + 1, scale),
+            _vertex_xy(x + 1, yy + 1, scale),
+            _vertex_xy(x + 1, yy + 2, scale),
+        }
+        # order the corners around the centroid: float rounding makes
+        # the order start at the lower-left corner for some (x, y), and
+        # the sums run in the set's order (both fix the SVG bytes)
         cx = sum(p[0] for p in quad) / 4
         cy = sum(p[1] for p in quad) / 4
         ordered = sorted(quad, key=lambda p: math.atan2(p[1] - cy, p[0] - cx))

@@ -50,6 +50,7 @@ from .board import (
     InvariantViolation,
     Puzzle,
     down_cell_edges,
+    on_board,
     puzzle_to_json,
     rhombus_outer_edges,
     up_cell_edges,
@@ -122,14 +123,7 @@ def cell_ahead(edge: Edge, d: int, n: int) -> Optional[tuple[str, int, int]]:
         cell = None
     if cell is None:
         raise ValueError(f"direction {d} is not perpendicular to edge {edge}")
-    return cell if _on_board(cell, n) else None
-
-
-def _on_board(cell: tuple[str, int, int], n: int) -> bool:
-    kind, x, yy = cell
-    if kind == "U":
-        return 0 <= x <= yy <= n - 1
-    return kind == "D" and 0 <= x < yy <= n - 1
+    return cell if on_board(cell, n) else None
 
 
 def cell_behind(edge: Edge, d: int, n: int) -> Optional[tuple[str, int, int]]:
@@ -212,12 +206,11 @@ def backward_gashes() -> frozenset[AbstractGash]:
 def scab_positions(P: Puzzle) -> list[tuple[int, int]]:
     """Anchors ``(x, y)`` of all scabs in a puzzle: vertically adjacent
     triangle pairs that are not 180-degree rotations of each other."""
-    ups, downs = P.covered_cells()
     scabs = tables().scabs
     out = []
     for yy in range(P.n - 1):
         for x in range(yy + 1):
-            if (x, yy) in ups or (x, yy + 1) in downs:
+            if (x, yy) in P.rhombi:  # the pair is a rhombus
                 continue
             if _scab_at(P.labels, x, yy) in scabs:
                 out.append((x, yy))
@@ -394,8 +387,7 @@ class FlawedPuzzle:
     def validate(self) -> list[str]:
         """Empty list iff this is a valid flawed puzzle.  Never raises
         for a flaw of one of the three shapes: a flaw off the board or
-        on an unlabeled edge is reported as a violation, and so is a
-        non-vertical rhombus (mutation recognizes vertical ones only)."""
+        on an unlabeled edge is reported as a violation."""
         n, labels = self.base.n, self.base.labels
         kind, data = self.flaw
         if kind == "gashpair":
@@ -410,7 +402,7 @@ class FlawedPuzzle:
                 return [f"outer boundary label {l} is not simple" for l in bad]
             edges = [_border_edge(border, i, n)[0] for i in where]
         elif kind == "temporary":
-            if not _on_board(data, n):
+            if not on_board(data, n):
                 return [f"cell {data} is not on the board"]
             ck, x, yy = data
             edges = cell_sides(data)
@@ -425,9 +417,7 @@ class FlawedPuzzle:
         if unlabeled:
             return [f"flaw edge {e} is unlabeled" for e in unlabeled]
         out = []
-        problems = self.base.validate() + [
-            f"rhombus {r} is not vertical" for r in sorted(self.base.rhombi) if r[2]
-        ]
+        problems = self.base.validate()
         if kind == "gashpair":
             out.extend(problems)
             if not problems:
@@ -498,7 +488,7 @@ class FlawedPuzzle:
                     PlacedGash(sw_e, 3, labels.pop(sw_e), p),
                 }
             # H(x,y) becomes the rhombus interior, which Puzzle drops
-            base = Puzzle(n, labels, rhombi | {(x, yy, 0)})
+            base = Puzzle(n, labels, rhombi | {(x, yy)})
             return [GashedPuzzle(base, frozenset(gashes))]
         raise ValueError(f"unknown flaw {self.flaw!r}")
 
@@ -561,9 +551,7 @@ def recognize_flaw(G: GashedPuzzle) -> FlawedPuzzle:
     r1 = B.rhombus_at(c1) if c1 is not None else None
     r2 = B.rhombus_at(c2) if c2 is not None else None
     if r1 is not None and r1 == r2:
-        x, yy, o = r1
-        if o != 0:
-            raise FlawRecognitionError(f"stuck gashes meet non-vertical rhombus {r1}")
+        x, yy = r1
         s = _scab_at(labels, x, yy)
         t = tables()
         if s in t.scabs:

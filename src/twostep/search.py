@@ -138,7 +138,7 @@ def _build(u, v, w, steps_and_moves) -> tuple[Puzzle, tuple[str, int, int] | Non
         else:
             labels[("B", x, yy + 1)] = right
             labels[("A", x + 1, yy + 1)] = item[2]
-            rhombi.append((x, yy, 0))
+            rhombi.append((x, yy))
         if ne is not None:
             labels[("A", x + 1, yy)] = ne
         if sp is not None:

@@ -29,4 +29,4 @@ def demo_puzzle():
         ("B", 1, 1): 0,
         ("H", 1, 1): 0,
     }
-    return Puzzle(2, labels, frozenset({(0, 0, 0)}))
+    return Puzzle(2, labels, frozenset({(0, 0)}))

@@ -90,7 +90,7 @@ def _enumerate(
         labels[("B", i - 1, i - 1)] = v[i - 1]
         labels[("H", i - 1, n - 1)] = w[i - 1]
     covered: set[tuple[int, int]] = set()
-    rhombi: list[tuple[int, int, int]] = []
+    rhombi: list[tuple[int, int]] = []
     special: list[tuple[str, int, int]] = []
     cells = _cell_order(n)
 
@@ -163,7 +163,7 @@ def _enumerate(
         # option 2: top half of a vertical rhombus (needs a row below,
         # and its bottom edge must still be free)
         if yy < n - 1 and h_e not in labels:
-            r = (x, yy, 0)
+            r = (x, yy)
             (pb1, pb2), (_, qa2) = rhombus_outer_edges(r)
             for p in rhombi_by_q.get(left, ()):
                 placed = set_edges([(pb1, p), (pb2, p), (qa2, left)])
@@ -194,7 +194,7 @@ def restriction_puzzle(w: String012) -> Puzzle:
     n = len(w)
     up_by_left = tables().up_by_left
     labels: dict[Edge, int] = {}
-    rhombi: set[tuple[int, int, int]] = set()
+    rhombi: set[tuple[int, int]] = set()
     for yy in range(n):
         for x in range(yy + 1):
             q = w[n - yy + x - 1]  # right projection
@@ -202,7 +202,7 @@ def restriction_puzzle(w: String012) -> Puzzle:
             labels[("A", x, yy)] = q
             labels[("B", x, yy)] = p
             if p > q:
-                rhombi.add((x, yy, 0))
+                rhombi.add((x, yy))
             else:
                 bottom = dict(up_by_left.get(q, ())).get(p)
                 if bottom is None:

@@ -1,6 +1,9 @@
 """Tests for the triangular board, puzzles, and serialization."""
 
+import hashlib
+import itertools
 import json
+import re
 
 import pytest
 from conftest import demo_puzzle
@@ -16,7 +19,6 @@ from twostep.board import (
     puzzle_to_json,
     render_svg,
     render_text,
-    rhombus_cells,
     rhombus_inner_edge,
     rhombus_outer_edges,
     rhombus_position,
@@ -24,7 +26,7 @@ from twostep.board import (
     up_cells,
 )
 from twostep.search import enumerate_puzzles
-from twostep.strings import parse
+from twostep.strings import all_strings, contents_up_to, parse
 
 
 def test_cell_counts():
@@ -44,9 +46,13 @@ def test_cell_edges_shared():
 
 
 def test_rhombus_geometry():
-    r = (1, 2, 0)  # vertical rhombus: U(1,2) over D(1,3)
-    assert rhombus_cells(r) == ((1, 2), (1, 3))
+    r = (1, 2)  # vertical rhombus: U(1,2) over D(1,3)
+    P = Puzzle(4, {}, frozenset({r}))
+    assert P.covered_cells() == ({(1, 2)}, {(1, 3)})
+    cells = [("U", 1, 2), ("D", 1, 3), ("U", 1, 3), ("D", 1, 2), ("D", 2, 3)]
+    assert [P.rhombus_at(c) for c in cells] == [r, r, None, None, None]
     inner = rhombus_inner_edge(r)
+    assert inner == ("H", 1, 2)
     (p1, p2), (q1, q2) = rhombus_outer_edges(r)
     assert inner not in {p1, p2, q1, q2}
 
@@ -75,18 +81,7 @@ def test_demo_puzzle_valid():
 
 def test_weight_degree_counts_vertical_rhombi():
     P = demo_puzzle()
-    assert P.weight().degree() == len(P.vertical_rhombi())
-
-
-def test_rotation():
-    P = demo_puzzle()
-    Q = P.rotate(2)
-    assert Q.validate() == []
-    u, v, w = P.boundary()
-    assert Q.boundary() == (tuple(reversed(w)), u, tuple(reversed(v)))
-    assert P.rotate(2).rotate(2).rotate(2) == P
-    with pytest.raises(ValueError):
-        P.rotate(1)
+    assert P.weight().degree() == len(P.rhombi)
 
 
 def test_dual_involution():
@@ -117,16 +112,71 @@ def test_json_rejects_non_integers(region, labels):
         puzzle_from_json(json.dumps({"region": region, "pieces": [piece]}))
 
 
+# the demo puzzle (boundary 10, 10, 10) as JSON pieces
+DEMO_PIECES = [
+    {"kind": "rhombus", "orientation": 0, "anchor": [0, 0], "labels": [1, 0]},
+    {"kind": "triangle", "orientation": 0, "anchor": [0, 1], "labels": [1, 1, 1]},
+    {"kind": "triangle", "orientation": 0, "anchor": [1, 1], "labels": [0, 0, 0]},
+]
+
+
+def test_demo_pieces_parse():
+    text = json.dumps({"region": [2, 0, 2, 0, 2, 0], "pieces": DEMO_PIECES})
+    assert puzzle_from_json(text) == demo_puzzle()
+
+
+def _replace(k, **fields):
+    return DEMO_PIECES[:k] + [{**DEMO_PIECES[k], **fields}] + DEMO_PIECES[k + 1:]
+
+
+@pytest.mark.parametrize(
+    "pieces, message",
+    [
+        pytest.param(
+            DEMO_PIECES + [{"kind": "triangle", "anchor": [5, 5], "labels": [0, 0, 0]}],
+            "leaves the board",
+            id="triangle-off-board",
+        ),
+        pytest.param(
+            _replace(0, anchor=[0, 1]) + [DEMO_PIECES[1]], "leaves the board", id="rhombus-off-board"
+        ),
+        pytest.param(_replace(1, labels=[1, 1, 1, 1]), "takes 3 labels", id="four-labels"),
+        pytest.param(_replace(0, labels=[1, 0, 0]), "takes 2 labels", id="rhombus-three-labels"),
+        pytest.param(
+            DEMO_PIECES + [{**DEMO_PIECES[2], "labels": [1, 1, 1]}],
+            "two pieces cover cell ('U', 1, 1)",
+            id="same-cell-twice",
+        ),
+        pytest.param(
+            DEMO_PIECES + [{"kind": "triangle", "anchor": [0, 0], "labels": [0, 1, 1]}],
+            "two pieces cover cell ('U', 0, 0)",
+            id="triangle-on-rhombus",
+        ),
+        pytest.param(
+            _replace(2, labels=[1, 0, 0]), "is labeled both", id="edges-disagree"
+        ),
+        pytest.param(_replace(0, orientation=2.0), "non-integer", id="float-orientation"),
+        pytest.param(
+            _replace(0, orientation=1), "rhombus at (0, 0) has orientation 1, not 0", id="rhombus-1"
+        ),
+        pytest.param(
+            _replace(0, orientation=4), "rhombus at (0, 0) has orientation 4, not 0", id="rhombus-4"
+        ),
+    ],
+)
+def test_json_rejects_non_tilings(pieces, message):
+    text = json.dumps({"region": [2, 0, 2, 0, 2, 0], "pieces": pieces})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        puzzle_from_json(text)
+
+
 def test_validate_reports_rhombus_off_the_board():
     # the rhombus hangs below the bottom row: its interior edge is a
     # border edge, so the boundary cannot be read
-    pieces = [
-        {"kind": "rhombus", "anchor": [0, 1], "labels": [1, 0]},
-        {"kind": "triangle", "anchor": [0, 0], "labels": [0, 1, 1]},
-        {"kind": "triangle", "anchor": [1, 1], "labels": [0, 0, 0]},
-    ]
-    P = puzzle_from_json(json.dumps({"region": [2, 0, 2, 0, 2, 0], "pieces": pieces}))
-    assert P.validate() == ["rhombus (0, 1, 0) leaves the board"]
+    labels = {("A", 0, 0): 0, ("B", 0, 0): 1, ("H", 0, 0): 1, ("A", 1, 1): 0}
+    labels |= {("B", 1, 1): 0, ("H", 1, 1): 0, ("A", 0, 1): 0, ("B", 0, 1): 1}
+    P = Puzzle(2, labels, frozenset({(0, 1)}))
+    assert P.validate() == ["rhombus (0, 1) leaves the board"]
 
 
 def test_render():
@@ -142,3 +192,20 @@ def test_puzzle_validate_catches_bad_label():
     e = ("A", 0, P.n - 1)
     labels[e] = {0: 1, 1: 2, 2: 0}[labels[e]]
     assert Puzzle(P.n, labels, P.rhombi).validate() != []
+
+
+def test_render_svg_pinned():
+    # sha256 over the SVG of every puzzle with n <= 4, recorded before
+    # the rhombus lost its orientation; guards the corner order, which
+    # float rounding starts at the lower-left corner for some (x, y)
+    digest = hashlib.sha256()
+    count = 0
+    for a, b, n in contents_up_to(4):
+        for u, v, w in itertools.product(all_strings(a, b, n), repeat=3):
+            for P in enumerate_puzzles(u, v, w):
+                count += 1
+                digest.update(render_svg(P).encode())
+    assert (count, digest.hexdigest()) == (
+        1213,
+        "ddb8fcd8646d05ff712c9d6aa8cffef47be12bdab60f48dc61b3936dffc97d15",
+    )

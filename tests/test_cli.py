@@ -208,13 +208,20 @@ def scab_file(tmp_path_factory):
         pytest.param(
             ["--puzzle", "EMPTY", "--flaw", "scab:0,0"], 3, id="no-pieces"
         ),
+        # the scab puzzle with its apex triangle listed twice
+        pytest.param(["--puzzle", "TWICE", "--flaw", "SCAB"], 2, id="two-pieces-one-cell"),
     ],
 )
 def test_mutate_bad_input_exit_codes(capsys, tmp_path, scab_file, argv, code):
     path, scab = scab_file
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"region": [4, 0, 4, 0, 4, 0], "pieces": []}))
-    subs = {"SCAB": scab, "EMPTY": str(empty)}
+    twice = tmp_path / "twice.json"
+    data = json.loads(pathlib.Path(path).read_text())
+    apex = next(p for p in data["pieces"] if p["kind"] == "triangle" and p["anchor"] == [0, 0])
+    data["pieces"].append(apex)
+    twice.write_text(json.dumps(data))
+    subs = {"SCAB": scab, "EMPTY": str(empty), "TWICE": str(twice)}
     argv = [subs.get(a, a) for a in argv]
     if "--puzzle" not in argv:
         argv = ["--puzzle", path] + argv
@@ -251,16 +258,34 @@ def test_mutate_fuzz_never_tracebacks(scab_file, spec, choice):
     assert "Traceback" not in err.getvalue()
 
 
-def test_mutate_rotated_puzzle_is_semantic_error(capsys, tmp_path):
-    # rotating moves the rhombus off the vertical; the scab flaw at (0, 2)
-    # then met it in recognize_flaw and raised FlawRecognitionError
-    u = parse("0212")
-    [P] = enumerate_puzzles(u, u, u)
+# a puzzle of boundary (0212, 0212, 0212) turned by 120 degrees: its
+# one rhombus is no longer vertical
+ROTATED_PUZZLE = (
+    '{"region": [4, 0, 4, 0, 4, 0], "pieces": [{"kind": "rhombus", "orientation": 2, '
+    '"anchor": [1, 2], "labels": [2, 1]}, {"kind": "triangle", "orientation": 0, '
+    '"anchor": [0, 0], "labels": [0, 0, 0]}, {"kind": "triangle", "orientation": 0, '
+    '"anchor": [0, 1], "labels": [2, 2, 2]}, {"kind": "triangle", "orientation": 0, '
+    '"anchor": [1, 1], "labels": [5, 2, 0]}, {"kind": "triangle", "orientation": 0, '
+    '"anchor": [0, 2], "labels": [1, 1, 1]}, {"kind": "triangle", "orientation": 0, '
+    '"anchor": [2, 2], "labels": [3, 1, 0]}, {"kind": "triangle", "orientation": 0, '
+    '"anchor": [0, 3], "labels": [2, 2, 2]}, {"kind": "triangle", "orientation": 0, '
+    '"anchor": [1, 3], "labels": [4, 2, 1]}, {"kind": "triangle", "orientation": 0, '
+    '"anchor": [2, 3], "labels": [2, 2, 2]}, {"kind": "triangle", "orientation": 0, '
+    '"anchor": [3, 3], "labels": [5, 2, 0]}, {"kind": "triangle", "orientation": 3, '
+    '"anchor": [0, 1], "labels": [2, 5, 0]}, {"kind": "triangle", "orientation": 3, '
+    '"anchor": [1, 2], "labels": [1, 3, 0]}, {"kind": "triangle", "orientation": 3, '
+    '"anchor": [0, 3], "labels": [2, 4, 1]}, {"kind": "triangle", "orientation": 3, '
+    '"anchor": [1, 3], "labels": [2, 2, 2]}, {"kind": "triangle", "orientation": 3, '
+    '"anchor": [2, 3], "labels": [2, 5, 0]}]}'
+)
+
+
+def test_mutate_rotated_puzzle_is_input_error(capsys, tmp_path):
     path = tmp_path / "rotated.json"
-    path.write_text(puzzle_to_json(P.rotate(2)))
+    path.write_text(ROTATED_PUZZLE)
     code, out, err = run(capsys, "mutate", "--puzzle", str(path), "--flaw", "scab:0,2")
-    assert (code, out) == (3, "")
-    assert err == "semantic error: rhombus (1, 2, 1) is not vertical\n"
+    assert (code, out) == (2, "")
+    assert err == "input error: bad puzzle JSON: rhombus at (1, 2) has orientation 2, not 0\n"
 
 
 def test_mutate_missing_file_is_input_error(capsys, tmp_path):

@@ -60,34 +60,53 @@ TEST_ONLY = {
 }
 
 
-def _references(node) -> set[str]:
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _references(node, enclosing: frozenset = frozenset()) -> set[str]:
+    """Names that ``node`` references, except a def's or class's own
+    name inside its own body."""
+    if isinstance(node, DEFS):
+        enclosing = enclosing | {node.name}
     out = set()
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            out.add(n.id)
-        elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
-        elif isinstance(n, ast.ImportFrom):
-            out.update(a.name for a in n.names)
-    return out
+    if isinstance(node, ast.Name):
+        out.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        out.add(node.attr)
+    elif isinstance(node, ast.ImportFrom):
+        out.update(a.name for a in node.names)
+    for child in ast.iter_child_nodes(node):
+        out |= _references(child, enclosing)
+    return out - enclosing
+
+
+def _public_defs(stmt, with_methods: bool):
+    """(shown name, def) for a public module-level def or class and,
+    with ``with_methods``, the public methods of a class; dunders and
+    ``_``-prefixed names are skipped."""
+    if not isinstance(stmt, DEFS):
+        return []
+    out = [(stmt.name, stmt)]
+    if with_methods and isinstance(stmt, ast.ClassDef):
+        out += [(f"{stmt.name}.{m.name}", m) for m in stmt.body if isinstance(m, DEFS)]
+    return [(shown, node) for shown, node in out if not node.name.startswith("_")]
 
 
 def test_public_names_have_callers():
     # every module-level public def or class in the package or the
-    # benchmark is referenced outside its own definition; a string (a
-    # docstring, an ``__all__`` entry) is no reference
+    # benchmark, and every public method of a package class, is
+    # referenced outside its own definition; a string (a docstring, an
+    # ``__all__`` entry) is no reference
     package = sorted((ROOT / "src" / "twostep").glob("*.py"))
-    defined: dict[str, str] = {}
+    defined: dict[str, tuple[str, str]] = {}
     referenced: set[str] = set()
     for path in package + sorted((ROOT / "perfbench").glob("*.py")):
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            refs = _references(stmt)
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                refs.discard(stmt.name)
-                if not stmt.name.startswith("_"):
-                    defined[stmt.name] = f"{path.parent.name}/{path.name}"
-            referenced |= refs
-    unused = {name: defined[name] for name in set(defined) - referenced}
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        referenced |= _references(tree)
+        for stmt in tree.body:
+            for shown, node in _public_defs(stmt, path in package):
+                defined[shown] = (node.name, f"{path.parent.name}/{path.name}")
+    unused = {shown: path for shown, (name, path) in defined.items() if name not in referenced}
     assert sorted(unused) == sorted(TEST_ONLY), "\n".join(
         f"{path}:{name}" for name, path in sorted(unused.items())
     )
