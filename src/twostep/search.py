@@ -10,12 +10,16 @@ presets ``B(x, y+1) = p`` and ``A(x+1, y+1) = q``.  Both readers of
 the states take their moves from one table, ``PieceTables.step_moves``,
 built once per piece-table value and shared by every call:
 
-- ``product_expansion(u, v)`` computes every ``C^w_{u,v}`` in one pass,
-  merging equal states after every step and summing their weights; the
-  bottom states are the strings ``w``.  This is the transfer-matrix view
-  of puzzles (Zinn-Justin, "Littlewood-Richardson coefficients and
-  integrable tilings", EJC 16, 2009; Knutson-Zinn-Justin, "Schubert
-  puzzles and integrability I", arXiv:1706.10019).
+- ``product_expansion(u, v)`` computes every ``C^w_{u,v}`` in three
+  passes over the layered graph of states.  A forward pass with no
+  weights records each step's states and their successors; a backward
+  pass keeps the live states, those with a path to a bottom row of
+  simple labels (the strings ``w``); a weighted pass over the live
+  states merges equal states after every step and sums their weights.
+  This is the transfer-matrix view of puzzles (Zinn-Justin,
+  "Littlewood-Richardson coefficients and integrable tilings", EJC 16,
+  2009; Knutson-Zinn-Justin, "Schubert puzzles and integrability I",
+  arXiv:1706.10019).
 - ``enumerate_puzzles(u, v, w)`` walks the states depth first with the
   bottom row fixed to ``w``, and ``enumerate_one_special`` is the same
   walk with one more state bit, "the special piece is used".  They serve
@@ -39,7 +43,7 @@ from typing import Collection, Iterator
 
 from .algebra import YPoly, y
 from .board import Edge, InvariantViolation, Puzzle, rhombus_position
-from .labels import tables
+from .labels import SIMPLE, tables
 from .strings import String012, all_strings, content
 
 __all__ = [
@@ -156,7 +160,7 @@ def structure_constant(u: String012, v: String012, w: String012) -> YPoly:
 
 def product_expansion(u: String012, v: String012) -> dict[String012, YPoly]:
     """All nonzero structure constants ``w -> C^w_{u,v}`` for fixed u, v,
-    in ``all_strings`` order, from one row-transfer pass."""
+    in ``all_strings`` order, from one row transfer over the live states."""
     if len(v) != len(u):
         raise ValueError("boundary strings must have equal length")
     if content(u) != content(v):
@@ -172,31 +176,66 @@ def product_expansion(u: String012, v: String012) -> dict[String012, YPoly]:
 
 def _bottom_rows(u: String012, v: String012) -> dict[tuple[int, ...], YPoly]:
     """The summed weight of all tilings with left and right borders
-    ``u`` and ``v``, by bottom-row labels (composed labels included)."""
+    ``u`` and ``v`` and a bottom row of simple labels, by bottom row."""
     n = len(u)
     moves = tables().step_moves()
-    states: dict[tuple, YPoly] = {(): YPoly.const(1)}
+    # 1. forward, no weights: per step, each state's successors (one per
+    # move, in move order), those a rhombus enters, and the rhombus
+    # weight.  The step that ends row y starts row y+1: its state has
+    # the carry A(0, y+1) and the finished row above.
+    start = ((), u[-1] if n else None, ())
+    graph: list[tuple[dict, set, YPoly]] = []
+    frontier = {start}
     for yy in range(n):
-        frontier = {((), u[n - yy - 1], above): wt for above, wt in states.items()}
         bottom = yy == n - 1
+        carry_next = None if bottom else u[n - yy - 2]
         for x in range(yy + 1):
             border = v[yy] if x == yy else None
             i, j = rhombus_position(x, yy, n)
-            rhombus_weight = y(j) - y(i)
-            step: dict[tuple, YPoly] = {}
-            for (done, carry, above), wt in frontier.items():
+            succ: dict[tuple, list[tuple]] = {}
+            rhombi: set[tuple] = set()
+            for state in frontier:
+                done, carry, above = state
                 over = above[0] if above else None
+                succ[state] = keys = []
                 for _, item, ne, _ in moves[carry, over, border, bottom, False]:
-                    key = (done + (item,), ne, above[1:])
-                    step[key] = step[key] + wt if key in step else wt
-            # every rhombus placed in this step has the same weight, so
-            # it multiplies each merged sum once
-            for key, wt in step.items():
-                if key[0][-1][0] == "R":
-                    step[key] = wt * rhombus_weight
-            frontier = step
-        states = {done: wt for (done, _, _), wt in frontier.items()}
-    return {tuple(label for _, label in row): wt for row, wt in states.items()}
+                    if border is None:
+                        key = (done + (item,), ne, above[1:])
+                    else:
+                        key = ((), carry_next, done + (item,))
+                    keys.append(key)
+                    if item[0] == "R":
+                        rhombi.add(key)
+            graph.append((succ, rhombi, y(j) - y(i)))
+            frontier = {key for keys in succ.values() for key in keys}
+    # 2. backward: a state is live if it has a path to a bottom row of
+    # simple labels (content is conserved, so these are the strings of
+    # content(u)); keep only live states and their live successors
+    live: Collection[tuple] = {
+        state for state in frontier if all(label in SIMPLE for _, label in state[2])
+    }
+    for succ, _, _ in reversed(graph):
+        for state, keys in list(succ.items()):
+            keys = [key for key in keys if key in live]
+            if keys:
+                succ[state] = keys
+            else:
+                del succ[state]
+        live = succ
+    # 3. weights, on live states only: merge equal states after every
+    # step; every rhombus placed in a step has the same weight, so it
+    # multiplies each merged sum once
+    states = {start: YPoly.const(1)} if start in live else {}
+    for succ, rhombi, rhombus_weight in graph:
+        step: dict[tuple, YPoly] = {}
+        for state, wt in states.items():
+            for key in succ[state]:
+                step[key] = step[key] + wt if key in step else wt
+        for key, wt in step.items():
+            if key in rhombi:
+                step[key] = wt * rhombus_weight
+        states = step
+    return {tuple(label for _, label in row): wt for (_, _, row), wt in states.items()}
 
 
 if __name__ == "__main__":

@@ -8,20 +8,23 @@ that shares none of their code: within row ``y`` it decides
 ``U(0,y), D(0,y), U(1,y), ..., U(y,y)`` in order, keeping one mutable
 label dict and undoing the labels each branch placed.  It also keeps
 ``restriction_puzzle``, a direct construction of the one puzzle with
-boundary ``(w, w, w)``.
+boundary ``(w, w, w)``, and ``bottom_rows``, the row-transfer product
+pass as it was before it weighed only live states: one dense top-down
+pass that carries every partial state to the last row.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from twostep.algebra import YPoly
+from twostep.algebra import YPoly, y
 from twostep.board import (
     Edge,
     InvariantViolation,
     Puzzle,
     down_cell_edges,
     rhombus_outer_edges,
+    rhombus_position,
     up_cell_edges,
 )
 from twostep.labels import tables
@@ -209,3 +212,32 @@ def restriction_puzzle(w: String012) -> Puzzle:
                     raise InvariantViolation(f"no up-triangle with sides {(q, p)}")
                 labels[("H", x, yy)] = bottom
     return _checked(Puzzle(n, labels, frozenset(rhombi)))
+
+
+def bottom_rows(u: String012, v: String012) -> dict[tuple[int, ...], YPoly]:
+    """The summed weight of all tilings with left and right borders
+    ``u`` and ``v``, by bottom-row labels (composed labels included)."""
+    n = len(u)
+    moves = tables().step_moves()
+    states: dict[tuple, YPoly] = {(): YPoly.const(1)}
+    for yy in range(n):
+        frontier = {((), u[n - yy - 1], above): wt for above, wt in states.items()}
+        bottom = yy == n - 1
+        for x in range(yy + 1):
+            border = v[yy] if x == yy else None
+            i, j = rhombus_position(x, yy, n)
+            rhombus_weight = y(j) - y(i)
+            step: dict[tuple, YPoly] = {}
+            for (done, carry, above), wt in frontier.items():
+                over = above[0] if above else None
+                for _, item, ne, _ in moves[carry, over, border, bottom, False]:
+                    key = (done + (item,), ne, above[1:])
+                    step[key] = step[key] + wt if key in step else wt
+            # every rhombus placed in this step has the same weight, so
+            # it multiplies each merged sum once
+            for key, wt in step.items():
+                if key[0][-1][0] == "R":
+                    step[key] = wt * rhombus_weight
+            frontier = step
+        states = {done: wt for (done, _, _), wt in frontier.items()}
+    return {tuple(label for _, label in row): wt for row, wt in states.items()}

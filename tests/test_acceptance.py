@@ -6,10 +6,15 @@ and 8 run the ``twostep verify`` suites, the one implementation of each
 sweep.  Criteria 1, 2 and 4 keep the constants they compute, and
 criterion 3 leaves every ``n <= 4`` oracle constant cached, so
 criterion 9 (Graham positivity) can re-examine them without
-recomputation.
+recomputation.  A resource guard follows the ten: the largest
+``Gr(4,8)`` quantum product in time and memory bounds.
 """
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 from collections import Counter
 
@@ -271,3 +276,30 @@ def test_10_sliding_bijection():
         assert len(set(images)) == len(domain)  # injective
         assert set(images) == set(codomain)  # surjective
         assert len(domain) == len(codomain) == 471
+
+
+def test_gr48_worst_case_resources():
+    # the largest Gr(4,8) quantum product, lambda = mu = (4,3,2,1).  A
+    # child's peak resident set counts its parent's memory at the fork,
+    # so a small interpreter runs the product in a grandchild and
+    # reports the peak of its children, in kB
+    import twostep
+
+    src = str(pathlib.Path(twostep.__file__).parents[1])
+    argv = ["quantum", "--m", "4", "--n", "8", "--lambda", "4,3,2,1", "--mu", "4,3,2,1"]
+    script = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-m', 'twostep.cli', *sys.argv[1:]],"
+        " check=True, stdout=subprocess.DEVNULL)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    with Budget(3):
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+    assert done.returncode == 0, done.stderr
+    peak_mb = int(done.stdout) / 1024
+    assert peak_mb < 100, f"peak RSS {peak_mb:.0f} MB"

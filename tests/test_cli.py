@@ -383,8 +383,9 @@ def test_invalid_table_override_is_input_error(capsys, tmp_path, monkeypatch, ar
 
 
 # sha256 of stdout, recorded from the enumerator-backed product and
-# quantum product; the row-transfer expansion must reproduce it byte
-# for byte
+# quantum product (the n = 8 ones from the dense row-transfer pass,
+# which weighed every state); the live-state expansion must reproduce
+# it byte for byte
 @pytest.mark.parametrize(
     "argv, sha256",
     [
@@ -412,6 +413,21 @@ def test_invalid_table_override_is_input_error(capsys, tmp_path, monkeypatch, ar
             ["quantum", "--m", "3", "--n", "6", "--lambda", "3,1,1", "--mu", "3,1,1"],
             "d0e3ebc33a3792dc4f62db62bd3f246a05368290c6f12f32f7fe529fd270d46f",
             id="quantum-gr36",
+        ),
+        pytest.param(
+            ["product", "--u", "10102202", "--v", "20022110"],
+            "f99b46ace28c9e2d47f027b401470f1fc6ab09eab9ae194a31e136323cc06de4",
+            id="product-fl358",
+        ),
+        pytest.param(
+            ["product", "--u", "10102202", "--v", "20022110", "--format", "json"],
+            "0d6183d2ffd0e041d62392e9ba57992db261ff3033a0eb5506b54714abeb37d0",
+            id="product-fl358-json",
+        ),
+        pytest.param(
+            ["quantum", "--m", "4", "--n", "8", "--lambda", "4,3,2,1", "--mu", "4,3,2,1"],
+            "741138ce0f1ece1bfb5a5c961545b06d6758d8c5a6cc3a68f2404cc0c6f61890",
+            id="quantum-gr48",
         ),
     ],
 )

@@ -317,5 +317,44 @@ def test_expansion_keys_in_all_strings_order():
     assert list(exp) == [w for w in all_strings(*content(u)) if w in exp]
 
 
+def test_expansion_of_empty_strings():
+    # the pass starts on the one state of the empty board, which is live
+    assert product_expansion((), ()) == {(): 1}
+
+
 def test_expansion_n1():
     assert product_expansion((0,), (0,)) == {(0,): 1}
+
+
+# -- product_expansion against the dense pass over every state -----------------
+
+
+def dense_expansion(u, v):
+    """``product_expansion`` by the dense row-transfer pass, which carries
+    every partial state to the last row: the reference."""
+    bottom = reference_search.bottom_rows(u, v)
+    return {w: c for w in all_strings(*content(u)) if (c := bottom.get(w))}
+
+
+def assert_matches_dense(u, v):
+    got, want = product_expansion(u, v), dense_expansion(u, v)
+    assert got == want, (u, v)
+    assert list(got) == list(want), (u, v)
+
+
+def test_expansion_matches_dense_pass_up_to_5():
+    # every content, the Grassmannian and trivial ones included
+    for n in range(1, 6):
+        for b in range(n + 1):
+            for a in range(b + 1):
+                for u, v in itertools.product(all_strings(a, b, n), repeat=2):
+                    assert_matches_dense(u, v)
+
+
+def test_expansion_matches_dense_pass_n6_to_8_sample():
+    rng = random.Random(8)
+    for n, pairs in ((6, 40), (7, 12), (8, 4)):
+        contents = [c for c in contents_up_to(n) if c[2] == n]
+        for _ in range(pairs):
+            strings = all_strings(*rng.choice(contents))
+            assert_matches_dense(rng.choice(strings), rng.choice(strings))
