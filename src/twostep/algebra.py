@@ -9,7 +9,16 @@ Three rings live here:
   coefficients in variables ``y1, y2, ...``.
 - :class:`Tower` -- elements of ``Z[zeta][delta0,delta1,delta2][y]`` that
   are at most linear in the ``delta`` variables (nothing here ever
-  multiplies two deltas; enforcing that catches bugs loudly).
+  multiplies two deltas; enforcing that catches bugs loudly).  A tower
+  is stored flat, one integer per ``(delta, y-monomial, e)`` with ``e``
+  in 0..3 indexing the basis ``1, z, z^2, z^3``, so its ring operations
+  build no :class:`Cyc12`.  A product of basis elements is ``z^(e1+e2)``
+  with ``e1 + e2`` in 0..6; the seven reduced forms are a table read
+  off :func:`zeta_pow` at import (``z^4 = z^2 - 1``, ``z^5 = z^3 - z``,
+  ``z^6 = -1``).
+
+Every coefficient is an ``int``: the public constructors raise
+``TypeError`` for anything else.
 
 Also: :func:`exact_divide` (division by a linear form with an integrality
 check) and :func:`graham_decompose` (rewriting in the difference basis
@@ -59,10 +68,21 @@ class Cyc12:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = (0, 0, 0, 0)):
-        c = tuple(int(x) for x in coeffs)
+        c = tuple(coeffs)
         if len(c) != 4:
             raise ValueError("Cyc12 needs exactly 4 coefficients")
-        self.coeffs = c
+        for x in c:
+            if not isinstance(x, int):
+                raise TypeError(f"Cyc12 coefficient must be an int, not {type(x).__name__}")
+        self.coeffs = tuple(int(x) for x in c)
+
+    @classmethod
+    def _canonical(cls, coeffs: tuple[int, int, int, int]) -> "Cyc12":
+        """Wrap a 4-tuple of ints; the ring operations build their
+        results here."""
+        z = object.__new__(cls)
+        z.coeffs = coeffs
+        return z
 
     @staticmethod
     def from_int(n: int) -> "Cyc12":
@@ -80,12 +100,12 @@ class Cyc12:
         return hash(self.coeffs)
 
     def __neg__(self) -> "Cyc12":
-        return Cyc12(tuple(-x for x in self.coeffs))
+        return Cyc12._canonical(tuple(-x for x in self.coeffs))
 
     def __add__(self, other) -> "Cyc12":
         if isinstance(other, int):
             other = Cyc12.from_int(other)
-        return Cyc12(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return Cyc12._canonical(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
@@ -94,7 +114,7 @@ class Cyc12:
 
     def __mul__(self, other) -> "Cyc12":
         if isinstance(other, int):
-            return Cyc12(tuple(other * x for x in self.coeffs))
+            return Cyc12._canonical(tuple(other * x for x in self.coeffs))
         # convolve to degree 6, then reduce with z^k = z^(k-2) - z^(k-4)
         prod = [0] * 7
         for i, a in enumerate(self.coeffs):
@@ -106,7 +126,7 @@ class Cyc12:
                 prod[k - 2] += prod[k]
                 prod[k - 4] -= prod[k]
                 prod[k] = 0
-        return Cyc12(prod[:4])
+        return Cyc12._canonical(tuple(prod[:4]))
 
     __rmul__ = __mul__
 
@@ -188,8 +208,10 @@ class YPoly:
         d: dict[Mono, int] = {}
         if terms:
             for m, c in terms.items():
+                if not isinstance(c, int):
+                    raise TypeError(f"YPoly coefficient must be an int, not {type(c).__name__}")
                 if c:
-                    d[_strip(m)] = d.get(_strip(m), 0) + c
+                    d[_strip(m)] = d.get(_strip(m), 0) + int(c)
         self.terms = {m: c for m, c in d.items() if c}
 
     @classmethod
@@ -470,58 +492,101 @@ def is_graham_positive(p: YPoly, n: int | None = None) -> bool:
 # The delta-linear tower ring
 
 DeltaKey = int | None  # None = delta-free part; 0/1/2 = coefficient of delta_i
+FlatKey = tuple[DeltaKey, Mono, int]  # (delta_key, y_monomial, zeta exponent 0..3)
+
+# zeta^k for k = 0..6 (the exponent sums of two basis elements) as
+# (exponent, coefficient) pairs in the basis 1, z, z^2, z^3
+_ZETA_REDUCE = tuple(
+    tuple((e, c) for e, c in enumerate(zeta_pow(k).coeffs) if c) for k in range(7)
+)
 
 
 class Tower:
     """An element of ``Z[zeta][delta][y]`` of degree at most 1 in the deltas.
 
-    Stored as a map ``(delta_key, y_monomial) -> Cyc12`` where
-    ``delta_key`` is ``None`` for the delta-free part or ``i`` for the
-    coefficient of ``delta_i``.  Multiplying two elements that both carry
-    deltas raises (the calculus never needs it).
+    Stored flat as a map ``(delta_key, y_monomial, e) -> int``: the
+    integer coefficient of ``zeta^e * delta * y^monomial``, where
+    ``delta_key`` is ``None`` for the delta-free part or ``i`` for
+    ``delta_i``, the monomial has its trailing zeros stripped, ``e`` is
+    0..3 (the basis ``1, z, z^2, z^3`` of :class:`Cyc12`) and no
+    coefficient is zero.  A product reduces ``zeta^(e1+e2)`` for
+    ``e1 + e2`` in 4..6 through ``_ZETA_REDUCE``, read off
+    :func:`zeta_pow`.  The public constructor takes a map
+    ``(delta_key, y_monomial) -> Cyc12``, and ``str``/``repr`` show that
+    form.  Multiplying two elements that both carry deltas raises (the
+    calculus never needs it).
 
     >>> a = Tower.delta(0) * Tower.zeta(3)
     >>> b = Tower.delta(1) * Tower.zeta(3)
     >>> (a - b) + (b - a) == Tower.zero()
     True
+    >>> str(Tower.zeta(2) * Tower.zeta(3) * Tower.delta(2))
+    '(-z + z^3)*d2'
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple[DeltaKey, Mono], Cyc12] | None = None):
-        d: dict[tuple[DeltaKey, Mono], Cyc12] = {}
-        if terms:
-            for k, c in terms.items():
-                if c:
-                    dk, m = k
-                    key = (dk, _strip(m))
-                    prev = d.get(key)
-                    d[key] = c if prev is None else prev + c
-        self.terms = {k: c for k, c in d.items() if c}
+        flat = {
+            (dk, m, e): x
+            for (dk, m), c in (terms or {}).items()
+            for e, x in enumerate(c.coeffs)
+        }
+        self.terms = Tower.from_flat(flat).terms
+
+    @classmethod
+    def _canonical(cls, terms: dict[FlatKey, int]) -> "Tower":
+        """Wrap flat ``terms`` that are already canonical (stripped
+        monomials, ``e`` in 0..3, no zero coefficient); the ring
+        operations build their results here."""
+        t = object.__new__(cls)
+        t.terms = terms
+        return t
+
+    @staticmethod
+    def _scalar(coeffs: tuple[int, int, int, int]) -> "Tower":
+        """The constant ``c0 + c1*z + c2*z^2 + c3*z^3``."""
+        return Tower._canonical({(None, (), e): c for e, c in enumerate(coeffs) if c})
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def from_flat(terms: Mapping[tuple[DeltaKey, Iterable[int], int], int]) -> "Tower":
+        """Build from flat ``(delta_key, y_monomial, e) -> int`` terms,
+        stripping monomials and summing repeated keys."""
+        d: dict[FlatKey, int] = {}
+        for (dk, m, e), c in terms.items():
+            if dk not in (None, 0, 1, 2):
+                raise ValueError("delta index must be 0, 1 or 2")
+            if e not in (0, 1, 2, 3):
+                raise ValueError("zeta exponent must be 0, 1, 2 or 3")
+            if not isinstance(c, int):
+                raise TypeError(f"Tower coefficient must be an int, not {type(c).__name__}")
+            key = (dk, _strip(m), e)
+            d[key] = d.get(key, 0) + int(c)
+        return Tower._canonical({k: c for k, c in d.items() if c})
+
+    @staticmethod
     def zero() -> "Tower":
-        return Tower()
+        return Tower._canonical({})
 
     @staticmethod
     def const(n: int) -> "Tower":
-        return Tower({(None, ()): Cyc12.from_int(n)})
+        return Tower._canonical({(None, (), 0): n} if n else {})
 
     @staticmethod
     def zeta(k: int) -> "Tower":
-        return Tower({(None, ()): zeta_pow(k)})
+        return Tower._scalar(zeta_pow(k).coeffs)
 
     @staticmethod
     def delta(i: int) -> "Tower":
         if i not in (0, 1, 2):
             raise ValueError("delta index must be 0, 1 or 2")
-        return Tower({(i, ()): _ONE})
+        return Tower._canonical({(i, (), 0): 1})
 
     @staticmethod
     def from_ypoly(p: YPoly) -> "Tower":
-        return Tower({(None, m): Cyc12.from_int(c) for m, c in p.terms.items()})
+        return Tower._canonical({(None, m, 0): c for m, c in p.terms.items()})
 
     # -- ring structure ----------------------------------------------------
 
@@ -535,45 +600,66 @@ class Tower:
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self) -> "Tower":
-        return Tower({k: -c for k, c in self.terms.items()})
+        return Tower._canonical({k: -c for k, c in self.terms.items()})
 
     def __add__(self, other: "Tower") -> "Tower":
         d = dict(self.terms)
         for k, c in other.terms.items():
-            d[k] = d.get(k, Cyc12()) + c
-        return Tower(d)
+            s = d.get(k, 0) + c
+            if s:
+                d[k] = s
+            else:
+                del d[k]
+        return Tower._canonical(d)
 
     def __sub__(self, other: "Tower") -> "Tower":
-        return self + (-other)
+        d = dict(self.terms)
+        for k, c in other.terms.items():
+            s = d.get(k, 0) - c
+            if s:
+                d[k] = s
+            else:
+                del d[k]
+        return Tower._canonical(d)
 
     def __mul__(self, other) -> "Tower":
         if isinstance(other, int):
-            other = Tower.const(other)
+            if not other:
+                return Tower.zero()
+            return Tower._canonical({k: c * other for k, c in self.terms.items()})
         if isinstance(other, Cyc12):
-            return Tower({k: c * other for k, c in self.terms.items()})
-        d: dict[tuple[DeltaKey, Mono], Cyc12] = {}
-        for (dk1, m1), c1 in self.terms.items():
-            for (dk2, m2), c2 in other.terms.items():
+            other = Tower._scalar(other.coeffs)
+        d: dict[FlatKey, int] = {}
+        for (dk1, m1, e1), c1 in self.terms.items():
+            for (dk2, m2, e2), c2 in other.terms.items():
                 if dk1 is not None and dk2 is not None:
                     raise ValueError("product would be quadratic in delta")
                 dk = dk1 if dk1 is not None else dk2
-                key = (dk, _mono_mul(m1, m2))
-                prev = d.get(key)
-                prod = c1 * c2
-                d[key] = prod if prev is None else prev + prod
-        return Tower(d)
+                m = _mono_mul(m1, m2)
+                c = c1 * c2
+                for e, z in _ZETA_REDUCE[e1 + e2]:
+                    key = (dk, m, e)
+                    d[key] = d.get(key, 0) + c * z
+        return Tower._canonical({k: c for k, c in d.items() if c})
 
     __rmul__ = __mul__
 
+    def _grouped(self) -> dict[tuple[DeltaKey, Mono], Cyc12]:
+        """The terms as ``(delta_key, y_monomial) -> Cyc12``."""
+        groups: dict[tuple[DeltaKey, Mono], list[int]] = {}
+        for (dk, m, e), c in self.terms.items():
+            groups.setdefault((dk, m), [0, 0, 0, 0])[e] = c
+        return {k: Cyc12._canonical(tuple(c)) for k, c in groups.items()}
+
     def __repr__(self) -> str:
-        return f"Tower({self.terms!r})"
+        return f"Tower({self._grouped()!r})"
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
         for (dk, m), c in sorted(
-            self.terms.items(),
+            self._grouped().items(),
             key=lambda kv: (-1 if kv[0][0] is None else kv[0][0], _mono_key(kv[0][1])),
         ):
             mono = "*".join(

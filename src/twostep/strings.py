@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, Iterator, Optional
 
-from .algebra import Cyc12, Tower, YPoly, exact_divide, y
+from .algebra import Tower, YPoly, exact_divide, y
 
 __all__ = [
     "parse",
@@ -260,9 +260,8 @@ def c_form(u: String012) -> Tower:
     ...       + Tower.delta(2) * Tower.from_ypoly(y(4)))
     True
     """
-    one = Cyc12.from_int(1)
-    return Tower(
-        {(letter, (0,) * (i - 1) + (1,)): one for i, letter in enumerate(u, start=1)}
+    return Tower.from_flat(
+        {(letter, (0,) * (i - 1) + (1,), 0): 1 for i, letter in enumerate(u, start=1)}
     )
 
 

@@ -21,6 +21,8 @@ from twostep.algebra import (
 )
 from twostep.strings import length
 
+from reference_algebra import Tower as RefTower
+
 cyc = st.builds(Cyc12, st.lists(st.integers(-9, 9), min_size=4, max_size=4))
 
 small_int = st.integers(-5, 5)
@@ -59,6 +61,10 @@ class TestCyc12:
     def test_zeta_units(self, a, k):
         assert a * zeta_pow(k) * zeta_pow(12 - k) == a
 
+    def test_rejects_non_integer_coefficients(self):
+        with pytest.raises(TypeError, match="Cyc12 coefficient must be an int"):
+            Cyc12((1.5, 0, 0, 0))
+
 
 class TestYPoly:
     @given(ypolys(), ypolys(), ypolys())
@@ -73,6 +79,10 @@ class TestYPoly:
     def test_degree_of_product(self, p, q):
         if p and q:
             assert (p * q).degree() == p.degree() + q.degree()
+
+    def test_rejects_non_integer_coefficients(self):
+        with pytest.raises(TypeError, match="YPoly coefficient must be an int"):
+            YPoly({(1,): 1.5})
 
     def test_format_examples(self):
         assert format_poly(YPoly()) == "0"
@@ -161,3 +171,88 @@ class TestTower:
     def test_from_ypoly_is_ring_map(self, p, q):
         assert Tower.from_ypoly(p) * Tower.from_ypoly(q) == Tower.from_ypoly(p * q)
         assert Tower.from_ypoly(p) + Tower.from_ypoly(q) == Tower.from_ypoly(p + q)
+
+
+@st.composite
+def tower_terms(draw, deltas=True):
+    """A ``(delta_key, y_monomial) -> Cyc12`` map with unstripped
+    monomials and every zeta exponent 0..3 possible in each coefficient."""
+    keys = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([None, 0, 1, 2] if deltas else [None]),
+                st.lists(st.integers(0, 2), max_size=3).map(tuple),
+            ),
+            max_size=4,
+        )
+    )
+    return {
+        k: Cyc12(draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4))) for k in keys
+    }
+
+
+def _assert_canonical(t):
+    for (dk, m, e), c in t.terms.items():
+        assert dk in (None, 0, 1, 2)
+        assert e in (0, 1, 2, 3)
+        assert type(c) is int and c != 0
+        assert not m or m[-1] != 0
+
+
+class TestTowerMatchesReference:
+    """The flat ``Tower`` against the ``Cyc12``-per-term reference."""
+
+    def _same(self, new, ref):
+        _assert_canonical(new)
+        assert str(new) == str(ref)
+
+    def test_zeta_products(self):
+        # every exponent sum 0..6 of two basis elements, so every entry of
+        # the reduction table, with and without a delta factor
+        for e1, e2, d in itertools.product(range(4), range(4), (None, 0, 1, 2)):
+            a, ra = Tower.zeta(e1), RefTower.zeta(e1)
+            if d is not None:
+                a, ra = a * Tower.delta(d), ra * RefTower.delta(d)
+            self._same(a * Tower.zeta(e2), ra * RefTower.zeta(e2))
+            assert a * Tower.zeta(e2) * Tower.zeta(12 - e1 - e2) == a * Tower.zeta(12 - e1)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(tower_terms(), st.one_of(tower_terms(), tower_terms(deltas=False)), cyc, small_int)
+    def test_operations(self, s, t, z, n):
+        a, ra = Tower(s), RefTower(s)
+        b, rb = Tower(t), RefTower(t)
+        for new, ref in [
+            (a, ra),
+            (a + b, ra + rb),
+            (a - b, ra - rb),
+            (-a, -ra),
+            (a * z, ra * z),
+            (a * n, ra * n),
+            (n * a, n * ra),
+        ]:
+            self._same(new, ref)
+        try:
+            rab = ra * rb
+        except ValueError as exc:
+            assert "quadratic in delta" in str(exc)
+            with pytest.raises(ValueError, match="quadratic in delta"):
+                a * b
+        else:
+            self._same(a * b, rab)
+        # equality agrees with the reference, and equal values hash alike
+        for x, x2, r, r2 in [
+            (a, b, ra, rb),
+            ((a + b) - b, a, (ra + rb) - rb, ra),
+            (a * z - a * z, Tower.zero(), ra * z - ra * z, RefTower.zero()),
+            (a * n, n * a, ra * n, n * ra),
+            (a * z, a, ra * z, ra),
+        ]:
+            assert (x == x2) == (r == r2)
+            if x == x2:
+                assert hash(x) == hash(x2)
+
+    def test_rejects_unknown_delta_key(self):
+        with pytest.raises(ValueError, match="delta index must be 0, 1 or 2"):
+            Tower({(7, (1,)): Cyc12.from_int(1)})
+        with pytest.raises(ValueError, match="delta index must be 0, 1 or 2"):
+            Tower.from_flat({(7, (1,), 0): 1})

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import twostep
@@ -120,4 +121,20 @@ def test_public_names_have_callers():
             for name in getattr(module, "__all__", ())
             if not hasattr(module, name)
         ]
+    assert missing == []
+
+
+def test_traced_methods_are_defined_in_their_class():
+    # the benchmark tracer wraps each ``METHODS`` entry on its class, so
+    # an inherited or aliased-away method would break the traced run
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        f"{layer}.{cls_name}.{attr}"
+        for layer, entries in tracer.METHODS.items()
+        for cls_name, attr in entries
+        if attr not in vars(getattr(tracer.MODULES[layer], cls_name))
+    ]
     assert missing == []
