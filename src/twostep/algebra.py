@@ -441,7 +441,7 @@ class NotInDifferenceRing(ArithmeticError):
     """Raised when a polynomial is not a polynomial in y(i+1) - y(i)."""
 
 
-def graham_decompose(p: YPoly, n: int | None = None) -> dict[Mono, int]:
+def graham_decompose(p: YPoly) -> dict[Mono, int]:
     """Rewrite ``p`` in monomials of ``z_i = y_(i+1) - y_i``.
 
     Returns the coefficient map (z-exponent vector -> integer).  Raises
@@ -460,8 +460,7 @@ def graham_decompose(p: YPoly, n: int | None = None) -> dict[Mono, int]:
         ...
     NotInDifferenceRing: not a polynomial in the differences
     """
-    if n is None:
-        n = p.nvars()
+    n = p.nvars()
     # substitute y_1 -> 0, y_i -> z_1 + ... + z_(i-1); the z_t live in the
     # same sparse representation (variable t).
     subs = {1: YPoly()}
@@ -477,7 +476,7 @@ def graham_decompose(p: YPoly, n: int | None = None) -> dict[Mono, int]:
     return dict(q.terms)
 
 
-def is_graham_positive(p: YPoly, n: int | None = None) -> bool:
+def is_graham_positive(p: YPoly) -> bool:
     """Whether ``p`` has nonnegative coefficients in the difference basis.
 
     >>> is_graham_positive((y(4) - y(3)) * (y(4) - y(1)))
@@ -485,7 +484,7 @@ def is_graham_positive(p: YPoly, n: int | None = None) -> bool:
     >>> is_graham_positive(y(1) - y(2))
     False
     """
-    return all(c >= 0 for c in graham_decompose(p, n).values())
+    return all(c >= 0 for c in graham_decompose(p).values())
 
 
 # ---------------------------------------------------------------------------

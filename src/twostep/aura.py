@@ -18,7 +18,7 @@ flaw is the aura of the right gash of its resolution.  Equivariant auras
 scale edge auras by the edge weights ``y_i``; the ``check_*`` functions
 below are executable forms of the identities that together prove the
 puzzle rule, each returning a report dict ``{check, instance, pass,
-lhs, rhs}``.
+lhs, rhs}`` whose sides are formatted only when the check fails.
 
 >>> from .algebra import Tower
 >>> aura_table()[(1, 0)] == Tower.delta(0) * Tower.zeta(3)
@@ -178,14 +178,18 @@ def _border_form(u: String012, v: String012, w: String012) -> Tower:
     return c_form(u) * Tower.zeta(11) + c_form(v) * Tower.zeta(7) + c_form(w) * Tower.zeta(3)
 
 
-def _report(check: str, instance: str, lhs: Tower, rhs: Tower) -> dict:
-    return {
-        "check": check,
-        "instance": instance,
-        "pass": lhs == rhs,
-        "lhs": str(lhs),
-        "rhs": str(rhs),
-    }
+def _report(check: str, instance: str, lhs: Tower | list, rhs: Tower | list) -> dict:
+    """The report of ``lhs == rhs``.  Its sides are formatted, a list's
+    members joined by "; ", only when the check fails, and are "" when it
+    passes."""
+    ok = lhs == rhs
+
+    def show(side) -> str:
+        if ok:
+            return ""
+        return "; ".join(map(str, side)) if isinstance(side, list) else str(side)
+
+    return {"check": check, "instance": instance, "pass": ok, "lhs": show(lhs), "rhs": show(rhs)}
 
 
 def check_gash_classes() -> dict:
@@ -222,13 +226,8 @@ def check_boundary_aura(P: Puzzle) -> dict:
             total = total + table[(d, letter)]
         sums.append(total)
         targets.append(gamma * Tower.zeta(2 * d + 1))
-    return {
-        "check": "border aura sums",
-        "instance": f"boundary ({fmt(u)}, {fmt(v)}, {fmt(w)})",
-        "pass": sums == targets,
-        "lhs": "; ".join(str(t) for t in sums),
-        "rhs": "; ".join(str(t) for t in targets),
-    }
+    inst = f"boundary ({fmt(u)}, {fmt(v)}, {fmt(w)})"
+    return _report("border aura sums", inst, sums, targets)
 
 
 def check_scab_sum(P: Puzzle) -> dict:

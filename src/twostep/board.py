@@ -377,19 +377,21 @@ def render_text(P: Puzzle) -> str:
     return "\n".join(lines)
 
 
-def _vertex_xy(x: int, yy: int, scale: float = 40.0) -> tuple[float, float]:
-    return (scale * (x - yy / 2.0), scale * yy * 0.8660254)
+_SCALE = 40.0  # SVG units per edge
+
+
+def _vertex_xy(x: int, yy: int) -> tuple[float, float]:
+    return (_SCALE * (x - yy / 2.0), _SCALE * yy * 0.8660254)
 
 
 def render_svg(P: Puzzle) -> str:
     """Render to SVG: triangles outlined, rhombi shaded."""
     n = P.n
-    scale = 40.0
     ups, downs = P.covered_cells()
     parts: list[str] = []
 
     def pt(p):
-        return f"{p[0] + scale * n / 2 + 10:.1f},{p[1] + 10:.1f}"
+        return f"{p[0] + _SCALE * n / 2 + 10:.1f},{p[1] + 10:.1f}"
 
     def poly(points, fill):
         pts = " ".join(pt(p) for p in points)
@@ -399,17 +401,17 @@ def render_svg(P: Puzzle) -> str:
 
     def text(px, py, s):
         parts.append(
-            f'<text x="{px + scale * n / 2 + 10:.1f}" y="{py + 10:.1f}" '
+            f'<text x="{px + _SCALE * n / 2 + 10:.1f}" y="{py + 10:.1f}" '
             f'font-size="9" fill="black" text-anchor="middle">{s}</text>'
         )
 
     for r in sorted(P.rhombi):
         x, yy = r
         quad = {
-            _vertex_xy(x, yy, scale),
-            _vertex_xy(x, yy + 1, scale),
-            _vertex_xy(x + 1, yy + 1, scale),
-            _vertex_xy(x + 1, yy + 2, scale),
+            _vertex_xy(x, yy),
+            _vertex_xy(x, yy + 1),
+            _vertex_xy(x + 1, yy + 1),
+            _vertex_xy(x + 1, yy + 2),
         }
         # order the corners around the centroid: float rounding makes
         # the order start at the lower-left corner for some (x, y), and
@@ -423,9 +425,9 @@ def render_svg(P: Puzzle) -> str:
     for x, yy in up_cells(n):
         if (x, yy) in ups:
             continue
-        a = _vertex_xy(x, yy, scale)
-        bl = _vertex_xy(x, yy + 1, scale)
-        br = _vertex_xy(x + 1, yy + 1, scale)
+        a = _vertex_xy(x, yy)
+        bl = _vertex_xy(x, yy + 1)
+        br = _vertex_xy(x + 1, yy + 1)
         poly([a, bl, br], "white")
         if ("H", x, yy) in P.labels:
             text((bl[0] + br[0]) / 2, bl[1] - 3, str(P.labels[("H", x, yy)]))
@@ -436,11 +438,11 @@ def render_svg(P: Puzzle) -> str:
     for x, yy in down_cells(n):
         if (x, yy) in downs:
             continue
-        tl = _vertex_xy(x, yy, scale)
-        tr = _vertex_xy(x + 1, yy, scale)
-        bot = _vertex_xy(x + 1, yy + 1, scale)
+        tl = _vertex_xy(x, yy)
+        tr = _vertex_xy(x + 1, yy)
+        bot = _vertex_xy(x + 1, yy + 1)
         poly([tl, tr, bot], "white")
-    size = scale * (n + 1) + 20
+    size = _SCALE * (n + 1) + 20
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" '
         f'height="{size:.0f}">' + "".join(parts) + "</svg>"

@@ -70,10 +70,10 @@ def _cmd_product(args) -> int:
     u, v = _parse_string(args.u), _parse_string(args.v)
     if content(u) != content(v):
         raise InputError("u and v have different contents")
-    if args.a is not None and (args.a, args.b, args.n) != content(u):
-        raise InputError(
-            f"strings have content {content(u)}, not ({args.a}, {args.b}, {args.n})"
-        )
+    flags = zip(("--a", "--b", "--n"), (args.a, args.b, args.n), content(u))
+    wrong = " ".join(f"{f} {g}" for f, g, have in flags if g not in (None, have))
+    if wrong:
+        raise InputError(f"strings have content (a, b, n) = {content(u)}, not {wrong}")
     exp = product_expansion(u, v)
     items = sorted((fmt(w), format_poly(c)) for w, c in exp.items())
     if args.format == "json":

@@ -18,11 +18,12 @@ sides; opposite sides always agree.  The eight canonical rhombi are::
 
 Pieces may be rotated but never reflected.  :class:`PieceTables` owns
 the two tables and every table derived from them (lookup indices, the
-step moves of the row-state engine, the ``replacements`` that move a
-gash across a triangle, gash classes, temporary-piece and scab tables,
-sliding gash sets, auras), each computed once per table value on first
-use.  :func:`validate_tables` gates everything downstream: it re-checks
-the counts, the one-replacement lemma behind gash propagation, label
+step moves of the row-state engine, whose only special pieces are the
+temporary pieces, the ``replacements`` that move a gash across a
+triangle, gash classes, temporary-piece and scab tables, sliding gash
+sets, auras), each computed once per table value on first use.
+:func:`validate_tables` gates everything downstream: it re-checks the
+counts, the one-replacement lemma behind gash propagation, label
 coverage, uniqueness of completion from two known sides, and the
 derived tables.
 
@@ -164,17 +165,11 @@ class PieceTables:
         return out
 
     @cached_property
-    def _step_tables(self) -> dict[tuple[frozenset, frozenset], "_StepMoves"]:
-        return {}
-
-    def step_moves(self, special_up=frozenset(), special_down=frozenset()) -> "_StepMoves":
-        """The step moves of the row-state engine (``search``) with the
-        given special pieces: one table per pair of special-piece sets,
-        kept on this value and shared by every pass that reads it."""
-        key = (frozenset(special_up), frozenset(special_down))
-        if key not in self._step_tables:
-            self._step_tables[key] = _StepMoves(self, *key)
-        return self._step_tables[key]
+    def step_moves(self) -> "_StepMoves":
+        """The step moves of the row-state engine (``search``), whose
+        special pieces are the temporary pieces: one table, kept on this
+        value and shared by every pass that reads it."""
+        return _StepMoves(self)
 
     # -- gash propagation ----------------------------------------------------
 
@@ -291,12 +286,6 @@ class PieceTables:
         }
 
     @cached_property
-    def temporary_sets(self) -> tuple[frozenset[Triple], frozenset[Triple]]:
-        """The temporary up- and down-triangles, the special pieces of a
-        temporary-piece flaw."""
-        return frozenset(self.temporaries), frozenset(self.down_temporaries)
-
-    @cached_property
     def scabs(self) -> dict[tuple[int, int, int, int], tuple[str, tuple[int, int]]]:
         """Map each scab ``(NW, NE, SE, SW)`` -- a vertical two-triangle
         rhombus that is not 180-degree symmetric -- to its unique
@@ -365,26 +354,26 @@ class PieceTables:
 class _StepMoves(dict):
     """``moves[carry, over, preset, bottom, special]``: the moves
     ``(B(x, y), item of U(x, y), A(x+1, y), "U"|"D"|None)`` of a step of
-    the row-state engine, the last naming the cell of a special piece.
+    the row-state engine, the last naming the cell of a temporary piece.
     ``over`` is the item above ``D(x, y)``, None if there is no such
     cell; ``preset`` is the label the right border gives ``B(x, y)``, or
     None, and a rhombus ``over`` presets it too.  ``bottom`` is False
     above the last row, True in it, or the item ``("H", label)`` the last
-    row must have at this step; ``special`` allows special pieces.
-    Order: ordinary up-triangles, special ones sorted, rhombi; under
-    each, the ordinary down-triangle, then special ones sorted.  An
+    row must have at this step; ``special`` allows temporary pieces.
+    Order: ordinary up-triangles, temporary ones sorted, rhombi; under
+    each, the ordinary down-triangle, then temporary ones sorted.  An
     entry is built on its first lookup and kept."""
 
-    def __init__(self, t: PieceTables, special_up: frozenset, special_down: frozenset):
+    def __init__(self, t: PieceTables):
         super().__init__()
         self._t = t
-        self._sp_up, self._sp_down = sorted(special_up), sorted(special_down)
 
     def __missing__(self, key: tuple) -> tuple:
         carry, over, preset, bottom, special = key
-        t, sp_up, sp_down = self._t, self._sp_up, self._sp_down
+        t = self._t
         ups = [(r, ("H", h), None) for r, h in t.up_by_left.get(carry, ())]
         if special:
+            sp_up, sp_down = sorted(t.temporaries), sorted(t.down_temporaries)
             ups += [(r, ("H", h), "U") for l, r, h in sp_up if l == carry]
         if bottom is False:
             ups += [(p, ("R", p, carry), None) for p in t.rhombi_by_q.get(carry, ())]

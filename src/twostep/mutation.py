@@ -732,7 +732,7 @@ def enumerate_flawed(
     for P in enumerate_puzzles(u, v, w):
         for x, yy in scab_positions(P):
             yield FlawedPuzzle(P, ("scab", (x, yy)))
-    for P, cell in enumerate_one_special(u, v, w, *tables().temporary_sets):
+    for P, cell in enumerate_one_special(u, v, w):
         yield FlawedPuzzle(P, ("temporary", cell))
 
 

@@ -22,10 +22,11 @@ built once per piece-table value and shared by every call:
   arXiv:1706.10019).
 - ``enumerate_puzzles(u, v, w)`` walks the states depth first with the
   bottom row fixed to ``w``, and ``enumerate_one_special`` is the same
-  walk with one more state bit, "the special piece is used".  They serve
-  single triples (``structure_constant``, which equals the
-  recursion-oracle value, see ``strings.oracle_constant``) and the
-  mutation and aura checks.
+  walk with one more state bit, "the temporary piece is used" (the one
+  non-puzzle piece a flawed puzzle can hold).  They serve single
+  triples (``structure_constant``, which equals the recursion-oracle
+  value, see ``strings.oracle_constant``) and the mutation and aura
+  checks.
 
 >>> from .strings import parse, fmt, extreme_constant
 >>> w = parse("120")
@@ -56,7 +57,7 @@ __all__ = [
 
 def enumerate_puzzles(u: String012, v: String012, w: String012) -> Iterator[Puzzle]:
     """Yield all puzzles with boundary ``(u, v, w)`` in deterministic order."""
-    for P, _ in _walk(u, v, w, None):
+    for P, _ in _walk(u, v, w, False):
         yield _checked(P)
 
 
@@ -68,32 +69,28 @@ def _checked(P: Puzzle) -> Puzzle:
 
 
 def enumerate_one_special(
-    u: String012,
-    v: String012,
-    w: String012,
-    special_up: Collection[tuple[int, int, int]],
-    special_down: Collection[tuple[int, int, int]],
+    u: String012, v: String012, w: String012
 ) -> Iterator[tuple[Puzzle, tuple[str, int, int]]]:
     """Yield ``(tiling, cell)`` pairs for every tiling of the boundary that
     uses the ordinary pieces everywhere except at exactly one cell, which
-    holds a triple from ``special_up`` (as ``(left, right, bottom)``) or
-    ``special_down`` (as ``(nw, ne, top)``)."""
-    yield from _walk(u, v, w, (special_up, special_down))
+    holds a temporary piece: a key of ``PieceTables.temporaries`` (as
+    ``(left, right, bottom)``) or of ``down_temporaries`` (as ``(nw, ne,
+    top)``)."""
+    yield from _walk(u, v, w, True)
 
 
 def _walk(
-    u: String012, v: String012, w: String012, special: tuple[Collection, Collection] | None
+    u: String012, v: String012, w: String012, need: bool
 ) -> Iterator[tuple[Puzzle, tuple[str, int, int] | None]]:
-    """Each tiling of ``(u, v, w)`` with no special piece (``special`` is
-    None) or exactly one from the ``(up, down)`` sets ``special``, with
-    its special cell, in the order of the moves."""
+    """Each tiling of ``(u, v, w)`` with no temporary piece, or with
+    exactly one if ``need``, with its temporary cell, in the order of the
+    moves."""
     n = len(u)
     if not (len(v) == len(w) == n):
         raise ValueError("boundary strings must have equal length")
     if not (content(u) == content(v) == content(w)):
         return
-    need = special is not None
-    moves = tables().step_moves(*(special or ()))
+    moves = tables().step_moves
     steps = [(x, yy) for yy in range(n) for x in range(yy + 1)]
     # per step: the label the right border gives B(x, y), the bottom-row
     # key of the moves, and the carry A(0, y+1) after the last step of a row
@@ -108,7 +105,7 @@ def _walk(
         k, done, carry, above, used = state
         if k == last:
             if used == need:
-                yield _build(u, v, w, zip(steps, path))
+                yield _build(u, zip(steps, path))
         else:
             over = above[0] if above else None
             key = (carry, over, border[k], bottom[k], need and not used)
@@ -128,14 +125,13 @@ def _walk(
             state = (k + 1, (), carry_next[k], done + (item,), used)
 
 
-def _build(u, v, w, steps_and_moves) -> tuple[Puzzle, tuple[str, int, int] | None]:
-    """The tiling given by the moves of every step, and its special cell."""
+def _build(u, path) -> tuple[Puzzle, tuple[str, int, int] | None]:
+    """The tiling given by the ``(step, move)`` pairs of ``path``, and its
+    temporary cell.  The moves set every label but the left border's."""
     n = len(u)
-    labels: dict[Edge, int] = {}
-    for i in range(n):
-        labels.update({("A", 0, n - 1 - i): u[i], ("B", i, i): v[i], ("H", i, n - 1): w[i]})
+    labels: dict[Edge, int] = {("A", 0, n - 1 - i): u[i] for i in range(n)}
     rhombi, cell = [], None
-    for (x, yy), (right, item, ne, sp) in steps_and_moves:
+    for (x, yy), (right, item, ne, sp) in path:
         labels[("B", x, yy)] = right
         if item[0] == "H":
             labels[("H", x, yy)] = item[1]
@@ -178,7 +174,7 @@ def _bottom_rows(u: String012, v: String012) -> dict[tuple[int, ...], YPoly]:
     """The summed weight of all tilings with left and right borders
     ``u`` and ``v`` and a bottom row of simple labels, by bottom row."""
     n = len(u)
-    moves = tables().step_moves()
+    moves = tables().step_moves
     # 1. forward, no weights: per step, each state's successors (one per
     # move, in move order), those a rhombus enters, and the rhombus
     # weight.  The step that ends row y starts row y+1: its state has

@@ -156,9 +156,9 @@ class CoverEdge:
         s, t = self.delta_letters
         return Tower.delta(s) - Tower.delta(t)
 
-    def delta_spec(self, spec: tuple[int, int, int] = DELTA_SPEC) -> int:
+    def delta_spec(self) -> int:
         s, t = self.delta_letters
-        return spec[s] - spec[t]
+        return DELTA_SPEC[s] - DELTA_SPEC[t]
 
 
 def covers(u: String012) -> list[CoverEdge]:

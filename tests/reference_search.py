@@ -218,7 +218,7 @@ def bottom_rows(u: String012, v: String012) -> dict[tuple[int, ...], YPoly]:
     """The summed weight of all tilings with left and right borders
     ``u`` and ``v``, by bottom-row labels (composed labels included)."""
     n = len(u)
-    moves = tables().step_moves()
+    moves = tables().step_moves
     states: dict[tuple, YPoly] = {(): YPoly.const(1)}
     for yy in range(n):
         frontier = {((), u[n - yy - 1], above): wt for above, wt in states.items()}

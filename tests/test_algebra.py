@@ -141,7 +141,7 @@ def test_length_is_inversion_count():
 class TestGraham:
     def test_decompose_recombines(self):
         p = (y(5) + y(4) - y(3) - y(1)) * (y(4) - y(1))
-        dec = graham_decompose(p, 5)
+        dec = graham_decompose(p)
         total = YPoly()
         for mono, c in dec.items():
             term = YPoly.const(c)

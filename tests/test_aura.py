@@ -116,9 +116,21 @@ def test_two_sums_and_recursion_small():
 
 
 def test_report_shape():
+    # a passing report keeps its five keys but formats no side
     r = check_boundary_aura(demo_puzzle())
     assert set(r) == {"check", "instance", "pass", "lhs", "rhs"}
-    assert isinstance(r["lhs"], str) and isinstance(r["rhs"], str)
+    assert r["pass"] and r["lhs"] == r["rhs"] == ""
+
+
+def test_failing_report_formats_its_sides(monkeypatch):
+    import twostep.aura as aura
+
+    monkeypatch.setattr(aura, "gamma_form", lambda a, b, n: Tower.zero())
+    r = check_boundary_aura(demo_puzzle())
+    assert not r["pass"] and r["rhs"] == "0; 0; 0"
+    assert r["lhs"].count("; ") == 2 and "0" not in r["lhs"].split("; ")
+    bad = aura._report("c", "i", Tower.const(1), Tower.zero())
+    assert (bad["pass"], bad["lhs"], bad["rhs"]) == (False, str(Tower.const(1)), "0")
 
 
 def test_flawed_aura_rejects_temporary():

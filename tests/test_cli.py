@@ -54,6 +54,27 @@ def test_product_content_mismatch_is_input_error(capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize(
+    "flags, wrong",
+    [
+        pytest.param([], None, id="none"),
+        pytest.param(["--a", "1"], None, id="a"),
+        pytest.param(["--a", "1", "--b", "2", "--n", "2"], None, id="all"),
+        pytest.param(["--b", "5", "--n", "9"], "--b 5 --n 9", id="b-n-wrong"),
+        pytest.param(["--a", "2"], "--a 2", id="a-wrong"),
+        pytest.param(["--a", "1", "--n", "3"], "--n 3", id="n-wrong"),
+    ],
+)
+def test_product_content_flags(capsys, flags, wrong):
+    # every given flag must match the strings' content (a, b, n) = (1, 2, 2)
+    code, out, err = run(capsys, "product", *flags, "--u", "01", "--v", "10")
+    if wrong is None:
+        assert (code, out, err) == (0, "10: 1\n", "")
+    else:
+        assert code == 2 and out == ""
+        assert err == f"input error: strings have content (a, b, n) = (1, 2, 2), not {wrong}\n"
+
+
 def test_product_bad_string_is_input_error(capsys):
     code, _, _ = run(capsys, "product", "--u", "01x", "--v", "012")
     assert code == 2

@@ -10,8 +10,9 @@ import json
 
 import pytest
 
-from twostep import cli
+from twostep import board, cli, mutation
 from twostep.algebra import Tower
+from twostep.board import rhombus_position
 
 # (name, object, attribute, faulty replacement, argv of the check that must exit 1)
 MUTANTS = [
@@ -28,6 +29,20 @@ MUTANTS = [
         "__neg__",
         lambda a: a,
         ["verify", "--suite", "aura", "--max-n", "3"],
+    ),
+    (
+        "rhombus-position-swapped",
+        board,
+        "rhombus_position",
+        lambda x, yy, n: rhombus_position(x, yy, n)[::-1],
+        ["verify", "--suite", "oracle", "--max-n", "3"],
+    ),
+    (
+        "gash-class-is-singleton",
+        mutation,
+        "gash_class",
+        lambda g: frozenset({g}),
+        ["verify", "--suite", "gashes"],
     ),
 ]
 

@@ -42,8 +42,7 @@ def test_restriction_puzzle_properties():
 def test_mismatched_content_gives_nothing():
     u, w = parse("012"), parse("122")
     assert list(enumerate_puzzles(u, u, w)) == []
-    sp_up, sp_down = set(temporary_table()), set(down_temporary_table())
-    assert list(enumerate_one_special(u, u, w, sp_up, sp_down)) == []
+    assert list(enumerate_one_special(u, u, w)) == []
 
 
 def test_constants_are_homogeneous():
@@ -155,8 +154,9 @@ def test_enumerated_puzzles_have_right_boundary():
 def assert_lists_match_reference(u, v, w):
     got, want = enumerate_puzzles(u, v, w), reference_search.enumerate_puzzles(u, v, w)
     assert [P.key for P in got] == [P.key for P in want], (u, v, w)
+    # the reference takes its special pieces as sets: the temporary pieces
     sp_up, sp_down = set(temporary_table()), set(down_temporary_table())
-    got = enumerate_one_special(u, v, w, sp_up, sp_down)
+    got = enumerate_one_special(u, v, w)
     want = reference_search.enumerate_one_special(u, v, w, sp_up, sp_down)
     assert [(P.key, cell) for P, cell in got] == [(P.key, cell) for P, cell in want], (u, v, w)
 
@@ -189,52 +189,49 @@ def test_listing_rejects_unequal_lengths():
     with pytest.raises(ValueError, match="^boundary strings must have equal length$"):
         list(enumerate_puzzles(u, u, v))
     with pytest.raises(ValueError, match="^boundary strings must have equal length$"):
-        list(enumerate_one_special(u, v, u, set(temporary_table()), set()))
-
-
-def test_one_special_without_special_pieces_is_empty():
-    u, v, w = parse("01201"), parse("10102"), parse("10210")
-    assert len(list(enumerate_puzzles(u, v, w))) == 2
-    assert list(enumerate_one_special(u, v, w, set(), set())) == []
+        list(enumerate_one_special(u, v, u))
 
 
 def test_one_special_tables_are_kept_apart():
-    # the temporary pieces' moves and the ordinary ones live in two tables
-    # of one ``PieceTables`` value; listing with one must not leak into
+    # the temporary pieces' moves and the ordinary ones live in one table,
+    # apart by the key's last bit; listing with one must not leak into
     # the other
     u, v, w = parse("01201"), parse("10102"), parse("10210")
-    assert len(list(enumerate_one_special(u, v, w, *tables().temporary_sets))) == 1
-    assert list(enumerate_one_special(u, v, w, set(), set())) == []
+    assert len(list(enumerate_one_special(u, v, w))) == 1
     assert len(list(enumerate_puzzles(u, v, w))) == 2
+    cells = {False: set(), True: set()}  # special cells, by the key's last bit
+    for key, moves in tables().step_moves.items():
+        cells[key[-1]].update(sp for *_, sp in moves)
+    assert cells[False] == {None}
+    assert {"U", "D"} <= cells[True]
 
 
 def test_step_moves_have_one_owner(monkeypatch, tmp_path):
     u, v, w = (parse(s) for s in HEAVY_TRIPLES[1])
     old = tables()
-    sp_up, sp_down = old.temporary_sets
-    assert old.step_moves() is old.step_moves(set(), set())
-    assert old.step_moves(sp_up, sp_down) is old.step_moves(set(sp_up), set(sp_down))
+    assert old.step_moves is old.step_moves
     assert_lists_match_reference(u, v, w)
-    filled = {key: len(old.step_moves(*key)) for key in [(), old.temporary_sets]}
-    assert all(filled.values())
+    filled = dict(old.step_moves)
+    # both listings filled the table: plain and temporary-piece entries
+    assert {key[-1] for key in filled} == {False, True}
 
     copy = tmp_path / "tables.txt"
     copy.write_text(table_text())
     monkeypatch.setenv("PUZZLE_TABLE_PATH", str(copy))
     new = tables()
     assert new is not old
-    assert len(new.step_moves()) == len(new.step_moves(*new.temporary_sets)) == 0
+    assert len(new.step_moves) == 0
     assert_lists_match_reference(u, v, w)
-    assert len(new.step_moves()) > 0 and len(new.step_moves(*new.temporary_sets)) > 0
-    assert new.step_moves() is not old.step_moves()
-    # the old value's tables saw none of the second listing
-    assert filled == {key: len(old.step_moves(*key)) for key in filled}
+    assert {key[-1] for key in new.step_moves} == {False, True}
+    assert new.step_moves is not old.step_moves
+    # the old value's table saw none of the second listing
+    assert old.step_moves == filled
 
 
 def test_empty_boundary():
     [P] = list(enumerate_puzzles((), (), ()))
     assert P.n == 0 and P.boundary() == ((), (), ())
-    assert list(enumerate_one_special((), (), (), *tables().temporary_sets)) == []
+    assert list(enumerate_one_special((), (), ())) == []
 
 
 def test_listing_is_lazy(monkeypatch):

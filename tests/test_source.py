@@ -138,3 +138,71 @@ def test_traced_methods_are_defined_in_their_class():
         if attr not in vars(getattr(tracer.MODULES[layer], cls_name))
     ]
     assert missing == []
+
+
+# defaulted parameters that no call in the package or the benchmark passes,
+# each kept for a stated reason
+DEFAULT_ONLY = {
+    "main(argv)": "the tests drive the CLI in-process",
+    "Tower.__init__(terms)": "the public form that ``repr`` prints",
+}
+
+
+def _defaulted(func: ast.FunctionDef, in_class: bool) -> list[tuple[str, int | None]]:
+    """(name, position in a call, None if keyword-only) of each defaulted
+    parameter of ``func``; a method's ``self`` or ``cls`` takes no
+    position in a call."""
+    a = func.args
+    pos = a.posonlyargs + a.args
+    skip = in_class and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod" for d in func.decorator_list
+    )
+    out = [(p.arg, i - skip) for i, p in enumerate(pos) if i >= len(pos) - len(a.defaults)]
+    out += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return out
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether ``call`` passes the parameter ``name`` at ``position``
+    (None: keyword-only), by position, keyword, ``*`` or ``**``."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_defaults_are_passed():
+    # a parameter with a default that no call passes has one value in
+    # use, and should be a constant
+    package = sorted((ROOT / "src" / "twostep").glob("*.py"))
+    calls: dict[str, list[ast.Call]] = {}
+    defaulted = []
+    for path in package + sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                calls.setdefault(name, []).append(node)
+            elif isinstance(node, ast.ClassDef) and path in package:
+                for m in node.body:
+                    if isinstance(m, ast.FunctionDef):
+                        methods.add(m)
+                        # a class is called by its own name
+                        called = node.name if m.name == "__init__" else m.name
+                        defaulted += [
+                            (f"{node.name}.{m.name}({p})", called, p, i)
+                            for p, i in _defaulted(m, True)
+                        ]
+            elif isinstance(node, ast.FunctionDef) and path in package and node not in methods:
+                defaulted += [
+                    (f"{node.name}({p})", node.name, p, i) for p, i in _defaulted(node, False)
+                ]
+    unpassed = [
+        shown
+        for shown, called, p, i in defaulted
+        if not any(_passes(c, p, i) for c in calls.get(called, ()))
+    ]
+    assert sorted(unpassed) == sorted(DEFAULT_ONLY)
