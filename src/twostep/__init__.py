@@ -2,9 +2,10 @@
 
 Subpackages/modules:
 
-- ``algebra``: exact arithmetic in ``Z[zeta_12]``, sparse integer
-  polynomials in y-variables, the delta-linear tower ring, exact division
-  by linear forms, and the difference-basis (positivity) decomposition.
+- ``algebra``: exact arithmetic: sparse integer polynomials in
+  y-variables, the delta-linear tower ring over ``Z[zeta_12]``, exact
+  division by linear forms, and the difference-basis (positivity)
+  decomposition.
 - ``labels``: the eight edge labels and their duals, the canonical
   triangle/rhombus piece tables and every table derived from them, and
   table validation.

@@ -1,21 +1,19 @@
 """Exact arithmetic for puzzle computations.
 
-Three rings live here:
+Two rings live here:
 
-- :class:`Cyc12` -- the ring ``Z[zeta]`` with ``zeta = exp(i*pi/6)`` a
-  primitive 12th root of unity, represented modulo the minimal polynomial
-  ``x^4 - x^2 + 1``.
 - :class:`YPoly` -- sparse multivariate polynomials with integer
   coefficients in variables ``y1, y2, ...``.
 - :class:`Tower` -- elements of ``Z[zeta][delta0,delta1,delta2][y]`` that
   are at most linear in the ``delta`` variables (nothing here ever
-  multiplies two deltas; enforcing that catches bugs loudly).  A tower
-  is stored flat, one integer per ``(delta, y-monomial, e)`` with ``e``
-  in 0..3 indexing the basis ``1, z, z^2, z^3``, so its ring operations
-  build no :class:`Cyc12`.  A product of basis elements is ``z^(e1+e2)``
-  with ``e1 + e2`` in 0..6; the seven reduced forms are a table read
-  off :func:`zeta_pow` at import (``z^4 = z^2 - 1``, ``z^5 = z^3 - z``,
-  ``z^6 = -1``).
+  multiplies two deltas; enforcing that catches bugs loudly), where
+  ``zeta = exp(i*pi/6)`` is a primitive 12th root of unity.  A tower is
+  stored flat, one integer per ``(delta, y-monomial, e)`` with ``e`` in
+  0..3 indexing the basis ``1, z, z^2, z^3`` of ``Z[zeta]``, which is
+  ``Z[z]`` modulo ``z^4 - z^2 + 1``.  A product of basis elements is
+  ``z^(e1+e2)`` with ``e1 + e2`` in 0..6, read off ``_ZETA_POWERS``, a
+  literal table of the seven reduced powers (``z^4 = z^2 - 1``,
+  ``z^5 = z^3 - z``, ``z^6 = -1``).
 
 Every coefficient is an ``int``: the public constructors raise
 ``TypeError`` for anything else.
@@ -24,8 +22,8 @@ Also: :func:`exact_divide` (division by a linear form with an integrality
 check) and :func:`graham_decompose` (rewriting in the difference basis
 ``y2-y1, ..., yn-y(n-1)`` to test positivity).
 
->>> (zeta_pow(6)).coeffs
-(-1, 0, 0, 0)
+>>> str(Tower.zeta(6))
+'(-1)'
 >>> format_poly(y(4) - y(1))
 '-1*y1 + 1*y4'
 """
@@ -35,8 +33,6 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 __all__ = [
-    "Cyc12",
-    "zeta_pow",
     "YPoly",
     "y",
     "format_poly",
@@ -47,133 +43,6 @@ __all__ = [
     "is_graham_positive",
     "Tower",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Z[zeta_12]
-
-
-class Cyc12:
-    """An element ``c0 + c1*z + c2*z^2 + c3*z^3`` of ``Z[z]/(z^4 - z^2 + 1)``.
-
-    ``z`` is the primitive 12th root of unity ``exp(i*pi/6)``; in
-    particular ``z^6 = -1`` and ``z^12 = 1``.
-
-    >>> zeta_pow(4) == Cyc12((-1, 0, 1, 0))
-    True
-    >>> zeta_pow(3) * zeta_pow(9)
-    Cyc12((1, 0, 0, 0))
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[int] = (0, 0, 0, 0)):
-        c = tuple(coeffs)
-        if len(c) != 4:
-            raise ValueError("Cyc12 needs exactly 4 coefficients")
-        for x in c:
-            if not isinstance(x, int):
-                raise TypeError(f"Cyc12 coefficient must be an int, not {type(x).__name__}")
-        self.coeffs = tuple(int(x) for x in c)
-
-    @classmethod
-    def _canonical(cls, coeffs: tuple[int, int, int, int]) -> "Cyc12":
-        """Wrap a 4-tuple of ints; the ring operations build their
-        results here."""
-        z = object.__new__(cls)
-        z.coeffs = coeffs
-        return z
-
-    @staticmethod
-    def from_int(n: int) -> "Cyc12":
-        return Cyc12((n, 0, 0, 0))
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = Cyc12.from_int(other)
-        return isinstance(other, Cyc12) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __neg__(self) -> "Cyc12":
-        return Cyc12._canonical(tuple(-x for x in self.coeffs))
-
-    def __add__(self, other) -> "Cyc12":
-        if isinstance(other, int):
-            other = Cyc12.from_int(other)
-        return Cyc12._canonical(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Cyc12":
-        return self + (-other if isinstance(other, Cyc12) else Cyc12.from_int(-other))
-
-    def __mul__(self, other) -> "Cyc12":
-        if isinstance(other, int):
-            return Cyc12._canonical(tuple(other * x for x in self.coeffs))
-        # convolve to degree 6, then reduce with z^k = z^(k-2) - z^(k-4)
-        prod = [0] * 7
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    prod[i + j] += a * b
-        for k in range(6, 3, -1):
-            if prod[k]:
-                prod[k - 2] += prod[k]
-                prod[k - 4] -= prod[k]
-                prod[k] = 0
-        return Cyc12._canonical(tuple(prod[:4]))
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        return f"Cyc12({self.coeffs!r})"
-
-    def __str__(self) -> str:
-        if not self:
-            return "0"
-        names = ["", "z", "z^2", "z^3"]
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(names[k])
-            elif c == -1:
-                parts.append("-" + names[k])
-            else:
-                parts.append(f"{c}*{names[k]}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-
-_ZETA = Cyc12((0, 1, 0, 0))
-_ONE = Cyc12((1, 0, 0, 0))
-
-_ZETA_POWS: list[Cyc12] = []
-_p = _ONE
-for _ in range(12):
-    _ZETA_POWS.append(_p)
-    _p = _p * _ZETA
-del _p
-
-
-def zeta_pow(k: int) -> Cyc12:
-    """The reduced representative of ``zeta^k``.
-
-    >>> zeta_pow(0) == 1
-    True
-    >>> zeta_pow(6) == -1
-    True
-    >>> zeta_pow(3) + zeta_pow(7) + zeta_pow(11)
-    Cyc12((0, 0, 0, 0))
-    """
-    return _ZETA_POWS[k % 12]
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +362,20 @@ def is_graham_positive(p: YPoly) -> bool:
 DeltaKey = int | None  # None = delta-free part; 0/1/2 = coefficient of delta_i
 FlatKey = tuple[DeltaKey, Mono, int]  # (delta_key, y_monomial, zeta exponent 0..3)
 
-# zeta^k for k = 0..6 (the exponent sums of two basis elements) as
-# (exponent, coefficient) pairs in the basis 1, z, z^2, z^3
-_ZETA_REDUCE = tuple(
-    tuple((e, c) for e, c in enumerate(zeta_pow(k).coeffs) if c) for k in range(7)
+# zeta^k for k = 0..6 (the exponent sums of two basis elements) in the
+# basis 1, z, z^2, z^3, reduced by z^4 = z^2 - 1
+_ZETA_POWERS = (
+    (1, 0, 0, 0),
+    (0, 1, 0, 0),
+    (0, 0, 1, 0),
+    (0, 0, 0, 1),
+    (-1, 0, 1, 0),
+    (0, -1, 0, 1),
+    (-1, 0, 0, 0),
 )
+# the same powers as (exponent, coefficient) pairs, for products
+_ZETA_REDUCE = tuple(tuple((e, c) for e, c in enumerate(p) if c) for p in _ZETA_POWERS)
+_ZETA_NAMES = ("", "z", "z^2", "z^3")
 
 
 class Tower:
@@ -507,13 +385,12 @@ class Tower:
     integer coefficient of ``zeta^e * delta * y^monomial``, where
     ``delta_key`` is ``None`` for the delta-free part or ``i`` for
     ``delta_i``, the monomial has its trailing zeros stripped, ``e`` is
-    0..3 (the basis ``1, z, z^2, z^3`` of :class:`Cyc12`) and no
-    coefficient is zero.  A product reduces ``zeta^(e1+e2)`` for
-    ``e1 + e2`` in 4..6 through ``_ZETA_REDUCE``, read off
-    :func:`zeta_pow`.  The public constructor takes a map
-    ``(delta_key, y_monomial) -> Cyc12``, and ``str``/``repr`` show that
-    form.  Multiplying two elements that both carry deltas raises (the
-    calculus never needs it).
+    0..3 (the basis ``1, z, z^2, z^3``) and no coefficient is zero.  The
+    constructor takes the same form, and ``repr`` shows it.  A product
+    reduces ``zeta^(e1+e2)`` for ``e1 + e2`` in 4..6 through
+    ``_ZETA_REDUCE``.  ``str`` groups the terms by delta and monomial.
+    Multiplying two elements that both carry deltas raises (the calculus
+    never needs it).
 
     >>> a = Tower.delta(0) * Tower.zeta(3)
     >>> b = Tower.delta(1) * Tower.zeta(3)
@@ -521,36 +398,13 @@ class Tower:
     True
     >>> str(Tower.zeta(2) * Tower.zeta(3) * Tower.delta(2))
     '(-z + z^3)*d2'
+    >>> Tower({(2, (0, 1, 0), 1): -1, (2, (0, 1), 3): 1})
+    Tower({(2, (0, 1), 1): -1, (2, (0, 1), 3): 1})
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple[DeltaKey, Mono], Cyc12] | None = None):
-        flat = {
-            (dk, m, e): x
-            for (dk, m), c in (terms or {}).items()
-            for e, x in enumerate(c.coeffs)
-        }
-        self.terms = Tower.from_flat(flat).terms
-
-    @classmethod
-    def _canonical(cls, terms: dict[FlatKey, int]) -> "Tower":
-        """Wrap flat ``terms`` that are already canonical (stripped
-        monomials, ``e`` in 0..3, no zero coefficient); the ring
-        operations build their results here."""
-        t = object.__new__(cls)
-        t.terms = terms
-        return t
-
-    @staticmethod
-    def _scalar(coeffs: tuple[int, int, int, int]) -> "Tower":
-        """The constant ``c0 + c1*z + c2*z^2 + c3*z^3``."""
-        return Tower._canonical({(None, (), e): c for e, c in enumerate(coeffs) if c})
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def from_flat(terms: Mapping[tuple[DeltaKey, Iterable[int], int], int]) -> "Tower":
+    def __init__(self, terms: Mapping[tuple[DeltaKey, Iterable[int], int], int]):
         """Build from flat ``(delta_key, y_monomial, e) -> int`` terms,
         stripping monomials and summing repeated keys."""
         d: dict[FlatKey, int] = {}
@@ -563,7 +417,18 @@ class Tower:
                 raise TypeError(f"Tower coefficient must be an int, not {type(c).__name__}")
             key = (dk, _strip(m), e)
             d[key] = d.get(key, 0) + int(c)
-        return Tower._canonical({k: c for k, c in d.items() if c})
+        self.terms = {k: c for k, c in d.items() if c}
+
+    @classmethod
+    def _canonical(cls, terms: dict[FlatKey, int]) -> "Tower":
+        """Wrap flat ``terms`` that are already canonical (stripped
+        monomials, ``e`` in 0..3, no zero coefficient); the ring
+        operations build their results here."""
+        t = object.__new__(cls)
+        t.terms = terms
+        return t
+
+    # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero() -> "Tower":
@@ -575,7 +440,25 @@ class Tower:
 
     @staticmethod
     def zeta(k: int) -> "Tower":
-        return Tower._scalar(zeta_pow(k).coeffs)
+        """``zeta^k``, read off ``_ZETA_POWERS``; ``zeta^(k+6) = -zeta^k``.
+
+        >>> z, p = Tower.zeta(1), Tower.const(1)
+        >>> for k in range(7):
+        ...     print(k, p, p == Tower.zeta(k))
+        ...     p = p * z
+        0 (1) True
+        1 (z) True
+        2 (z^2) True
+        3 (z^3) True
+        4 (-1 + z^2) True
+        5 (-z + z^3) True
+        6 (-1) True
+        """
+        k %= 12
+        sign = -1 if k >= 6 else 1
+        return Tower._canonical(
+            {(None, (), e): sign * c for e, c in enumerate(_ZETA_POWERS[k % 6]) if c}
+        )
 
     @staticmethod
     def delta(i: int) -> "Tower":
@@ -626,8 +509,6 @@ class Tower:
             if not other:
                 return Tower.zero()
             return Tower._canonical({k: c * other for k, c in self.terms.items()})
-        if isinstance(other, Cyc12):
-            other = Tower._scalar(other.coeffs)
         d: dict[FlatKey, int] = {}
         for (dk1, m1, e1), c1 in self.terms.items():
             for (dk2, m2, e2), c2 in other.terms.items():
@@ -643,30 +524,28 @@ class Tower:
 
     __rmul__ = __mul__
 
-    def _grouped(self) -> dict[tuple[DeltaKey, Mono], Cyc12]:
-        """The terms as ``(delta_key, y_monomial) -> Cyc12``."""
-        groups: dict[tuple[DeltaKey, Mono], list[int]] = {}
-        for (dk, m, e), c in self.terms.items():
-            groups.setdefault((dk, m), [0, 0, 0, 0])[e] = c
-        return {k: Cyc12._canonical(tuple(c)) for k, c in groups.items()}
-
     def __repr__(self) -> str:
-        return f"Tower({self._grouped()!r})"
+        return f"Tower({self.terms!r})"
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        groups: dict[tuple[DeltaKey, Mono], list[int]] = {}
+        for (dk, m, e), c in self.terms.items():
+            groups.setdefault((dk, m), [0, 0, 0, 0])[e] = c
         parts = []
-        for (dk, m), c in sorted(
-            self._grouped().items(),
-            key=lambda kv: (-1 if kv[0][0] is None else kv[0][0], _mono_key(kv[0][1])),
-        ):
+        for dk, m in sorted(groups, key=lambda k: (-1 if k[0] is None else k[0], _mono_key(k[1]))):
+            coeff = " + ".join(
+                str(c) if e == 0 else {1: "", -1: "-"}.get(c, f"{c}*") + _ZETA_NAMES[e]
+                for e, c in enumerate(groups[dk, m])
+                if c
+            ).replace("+ -", "- ")
             mono = "*".join(
                 f"y{i}" + (f"^{e}" if e > 1 else "")
                 for i, e in enumerate(m, start=1)
                 if e
             )
-            head = f"({c})"
+            head = f"({coeff})"
             if dk is not None:
                 head += f"*d{dk}"
             if mono:

@@ -13,8 +13,9 @@ Subcommands:
 - ``verify``: run an invariant sweep (pieces, gashes, mutation, aura,
   or oracle) up to a size bound and print a JSON summary.
 
-Exit codes: 0 success, 1 verification failure, 2 input error,
-3 semantic mismatch (e.g. a flaw spec that does not fit the puzzle).
+Exit codes: 0 success, 1 verification failure (a suite that raises
+fails with a report naming the exception), 2 input error, 3 semantic
+mismatch (e.g. a flaw spec that does not fit the puzzle).
 All output is deterministic for fixed inputs.
 """
 
@@ -27,7 +28,7 @@ import os
 import sys
 from typing import Sequence
 
-from .algebra import format_poly
+from .algebra import Tower, format_poly
 from .board import puzzle_from_json, render_svg, render_text
 from .labels import load_tables, tables
 from .strings import (
@@ -218,6 +219,16 @@ def _suite_pieces(max_n: int) -> list[dict]:
     from .labels import validate_tables
 
     problems = validate_tables()
+    # every aura identity computes in Z[zeta]: check the powers of zeta,
+    # by repeated products, against integer constants
+    one = Tower.const(1)
+    powers = [one]
+    for _ in range(23):
+        powers.append(powers[-1] * Tower.zeta(1))
+    checks = [("z^6", powers[6], Tower.const(-1)), ("z^4", powers[4], powers[2] - one)]
+    checks += [(f"Tower.zeta({k})", Tower.zeta(k), powers[k]) for k in range(24)]
+    checks += [(f"z^{k} * z^{12 - k}", powers[k] * powers[12 - k], one) for k in range(13)]
+    wrong = [f"{name} = {lhs}, not {rhs}" for name, lhs, rhs in checks if lhs != rhs]
     return [
         {
             "check": "piece tables",
@@ -225,7 +236,14 @@ def _suite_pieces(max_n: int) -> list[dict]:
             "pass": not problems,
             "lhs": "validation problems",
             "rhs": "; ".join(problems) or "none",
-        }
+        },
+        {
+            "check": "zeta arithmetic",
+            "instance": "zeta^0 .. zeta^23 as products of Tower.zeta(1)",
+            "pass": not wrong,
+            "lhs": "z^6 = -1, z^4 = z^2 - 1, Tower.zeta(k) = z^k, z^k * z^(12-k) = 1",
+            "rhs": "; ".join(wrong) or "none",
+        },
     ]
 
 
@@ -379,7 +397,19 @@ _SUITES = {
 def _cmd_verify(args) -> int:
     if args.max_n < 2:
         raise InputError(f"--max-n must be at least 2, not {args.max_n}")
-    reports = _SUITES[args.suite](args.max_n)
+    try:
+        reports = _SUITES[args.suite](args.max_n)
+    except Exception as e:
+        # a fault in library code fails the suite, never with a traceback
+        reports = [
+            {
+                "check": f"suite {args.suite} runs to the end",
+                "instance": f"--max-n {args.max_n}",
+                "pass": False,
+                "lhs": type(e).__name__,
+                "rhs": str(e),
+            }
+        ]
     ok = all(r["pass"] for r in reports)
     print(json.dumps({"suite": args.suite, "pass": ok, "checks": reports}, indent=2))
     return 0 if ok else 1

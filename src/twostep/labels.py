@@ -40,7 +40,7 @@ from importlib import resources
 from itertools import product
 from typing import Optional
 
-from .algebra import Tower, zeta_pow
+from .algebra import Tower
 
 __all__ = [
     "LABELS",
@@ -346,7 +346,7 @@ class PieceTables:
             if table[(ins[0], t[0])] + table[(ins[1], t[1])] + table[(ins[2], t[2])]:
                 raise ValueError(f"aura table is inconsistent at piece {t}")
         for (d, a), v in table.items():
-            if table[((d + 1) % 6, a)] != v * zeta_pow(2):
+            if table[((d + 1) % 6, a)] != v * Tower.zeta(2):
                 raise ValueError(f"aura table is not rotation-equivariant at {(d, a)}")
         return table
 

@@ -260,7 +260,7 @@ def c_form(u: String012) -> Tower:
     ...       + Tower.delta(2) * Tower.from_ypoly(y(4)))
     True
     """
-    return Tower.from_flat(
+    return Tower(
         {(letter, (0,) * (i - 1) + (1,), 0): 1 for i, letter in enumerate(u, start=1)}
     )
 

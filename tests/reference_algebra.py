@@ -2,23 +2,94 @@
 reference.
 
 The library's ``Tower`` stores flat integer coefficients of
-``zeta^0 .. zeta^3`` and reduces ``zeta^4 .. zeta^6`` through a table.
-This module keeps the form it replaced, so that the differential tests
-compare the library with code that shares neither shortcut: each term
-is a ``(delta_key, y_monomial) -> Cyc12`` entry, every result goes
-through the normalising constructor, and products use ``Cyc12``
-multiplication.
+``zeta^0 .. zeta^3`` and reads the reduced powers ``zeta^0 .. zeta^6``
+off a literal table.  This module keeps the form it replaced, so that
+the differential tests compare the library with code that shares
+neither shortcut: each term is a ``(delta_key, y_monomial) -> Cyc12``
+entry, every result goes through the normalising constructor, products
+use ``Cyc12`` multiplication, and every power of ``zeta`` is computed
+here by that multiplication.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from twostep.algebra import Cyc12, Mono, YPoly, _mono_key, _mono_mul, _strip, zeta_pow
+from twostep.algebra import Mono, YPoly, _mono_key, _mono_mul, _strip
 
 DeltaKey = int | None  # None = delta-free part; 0/1/2 = coefficient of delta_i
 
+
+class Cyc12:
+    """An element ``c0 + c1*z + c2*z^2 + c3*z^3`` of ``Z[z]/(z^4 - z^2 + 1)``,
+    where ``z`` is the primitive 12th root of unity ``exp(i*pi/6)``."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[int] = (0, 0, 0, 0)):
+        self.coeffs = tuple(coeffs)
+        if not all(isinstance(x, int) for x in self.coeffs):
+            raise TypeError("Cyc12 coefficient must be an int")
+
+    @staticmethod
+    def from_int(n: int) -> "Cyc12":
+        return Cyc12((n, 0, 0, 0))
+
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Cyc12) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __neg__(self) -> "Cyc12":
+        return Cyc12(-x for x in self.coeffs)
+
+    def __add__(self, other: "Cyc12") -> "Cyc12":
+        return Cyc12(a + b for a, b in zip(self.coeffs, other.coeffs))
+
+    def __sub__(self, other: "Cyc12") -> "Cyc12":
+        return self + (-other)
+
+    def __mul__(self, other: "Cyc12") -> "Cyc12":
+        # convolve to degree 6, then reduce with z^k = z^(k-2) - z^(k-4)
+        prod = [0] * 7
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                prod[i + j] += a * b
+        for k in range(6, 3, -1):
+            prod[k - 2] += prod[k]
+            prod[k - 4] -= prod[k]
+        return Cyc12(prod[:4])
+
+    def __str__(self) -> str:
+        names = ["", "z", "z^2", "z^3"]
+        parts = []
+        for k, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            if k == 0:
+                parts.append(str(c))
+            elif c == 1:
+                parts.append(names[k])
+            elif c == -1:
+                parts.append("-" + names[k])
+            else:
+                parts.append(f"{c}*{names[k]}")
+        return " + ".join(parts).replace("+ -", "- ")
+
+
 _ONE = Cyc12((1, 0, 0, 0))
+_ZETA_POWS = [_ONE]
+for _ in range(11):
+    _ZETA_POWS.append(_ZETA_POWS[-1] * Cyc12((0, 1, 0, 0)))
+
+
+def zeta_pow(k: int) -> Cyc12:
+    """``zeta^k``, from ``k mod 12`` products by ``zeta``."""
+    return _ZETA_POWS[k % 12]
 
 
 class Tower:
@@ -27,22 +98,18 @@ class Tower:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple[DeltaKey, Mono], Cyc12] | None = None):
+    def __init__(self, terms: Mapping[tuple[DeltaKey, Mono], Cyc12]):
         d: dict[tuple[DeltaKey, Mono], Cyc12] = {}
-        if terms:
-            for k, c in terms.items():
-                if c:
-                    dk, m = k
-                    key = (dk, _strip(m))
-                    prev = d.get(key)
-                    d[key] = c if prev is None else prev + c
+        for (dk, m), c in terms.items():
+            key = (dk, _strip(m))
+            d[key] = d.get(key, Cyc12()) + c
         self.terms = {k: c for k, c in d.items() if c}
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero() -> "Tower":
-        return Tower()
+        return Tower({})
 
     @staticmethod
     def const(n: int) -> "Tower":
@@ -88,8 +155,6 @@ class Tower:
     def __mul__(self, other) -> "Tower":
         if isinstance(other, int):
             other = Tower.const(other)
-        if isinstance(other, Cyc12):
-            return Tower({k: c * other for k, c in self.terms.items()})
         d: dict[tuple[DeltaKey, Mono], Cyc12] = {}
         for (dk1, m1), c1 in self.terms.items():
             for (dk2, m2), c2 in other.terms.items():
@@ -97,9 +162,7 @@ class Tower:
                     raise ValueError("product would be quadratic in delta")
                 dk = dk1 if dk1 is not None else dk2
                 key = (dk, _mono_mul(m1, m2))
-                prev = d.get(key)
-                prod = c1 * c2
-                d[key] = prod if prev is None else prev + prod
+                d[key] = d.get(key, Cyc12()) + c1 * c2
         return Tower(d)
 
     __rmul__ = __mul__

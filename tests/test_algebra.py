@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twostep.algebra import (
-    Cyc12,
     NotDivisible,
     NotInDifferenceRing,
     Tower,
@@ -17,10 +16,10 @@ from twostep.algebra import (
     graham_decompose,
     is_graham_positive,
     y,
-    zeta_pow,
 )
 from twostep.strings import length
 
+from reference_algebra import Cyc12, zeta_pow
 from reference_algebra import Tower as RefTower
 
 cyc = st.builds(Cyc12, st.lists(st.integers(-9, 9), min_size=4, max_size=4))
@@ -40,6 +39,8 @@ def ypolys(draw, max_terms=4, max_var=4, max_exp=3):
 
 
 class TestCyc12:
+    """The reference's own ``Z[zeta]``, which the differential tests trust."""
+
     @given(cyc, cyc, cyc)
     def test_ring_axioms(self, a, b, c):
         assert a + b == b + a
@@ -175,20 +176,27 @@ class TestTower:
 
 @st.composite
 def tower_terms(draw, deltas=True):
-    """A ``(delta_key, y_monomial) -> Cyc12`` map with unstripped
-    monomials and every zeta exponent 0..3 possible in each coefficient."""
+    """A flat ``(delta_key, y_monomial, e) -> int`` map with unstripped
+    monomials and every zeta exponent 0..3 possible."""
     keys = draw(
         st.lists(
             st.tuples(
                 st.sampled_from([None, 0, 1, 2] if deltas else [None]),
                 st.lists(st.integers(0, 2), max_size=3).map(tuple),
+                st.integers(0, 3),
             ),
-            max_size=4,
+            max_size=12,
         )
     )
-    return {
-        k: Cyc12(draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4))) for k in keys
-    }
+    return {k: draw(st.integers(-3, 3)) for k in keys}
+
+
+def _regrouped(terms):
+    """The flat ``terms`` as the reference's ``(delta_key, y_monomial) -> Cyc12`` map."""
+    groups = {}
+    for (dk, m, e), c in terms.items():
+        groups.setdefault((dk, m), [0, 0, 0, 0])[e] = c
+    return {k: Cyc12(c) for k, c in groups.items()}
 
 
 def _assert_canonical(t):
@@ -207,26 +215,36 @@ class TestTowerMatchesReference:
         assert str(new) == str(ref)
 
     def test_zeta_products(self):
-        # every exponent sum 0..6 of two basis elements, so every entry of
+        # every power of zeta, read off the library's literal table, and its
+        # products with each basis element, so every exponent sum 0..6 of
         # the reduction table, with and without a delta factor
-        for e1, e2, d in itertools.product(range(4), range(4), (None, 0, 1, 2)):
-            a, ra = Tower.zeta(e1), RefTower.zeta(e1)
+        for k, d in itertools.product(range(24), (None, 0, 1, 2)):
+            a, ra = Tower.zeta(k), RefTower.zeta(k)
             if d is not None:
                 a, ra = a * Tower.delta(d), ra * RefTower.delta(d)
-            self._same(a * Tower.zeta(e2), ra * RefTower.zeta(e2))
-            assert a * Tower.zeta(e2) * Tower.zeta(12 - e1 - e2) == a * Tower.zeta(12 - e1)
+            self._same(a, ra)
+            for e in range(4):
+                self._same(a * Tower.zeta(e), ra * RefTower.zeta(e))
+                assert a * Tower.zeta(e) * Tower.zeta(12 - k - e) == a * Tower.zeta(12 - k)
 
     @settings(derandomize=True, max_examples=400, deadline=None)
-    @given(tower_terms(), st.one_of(tower_terms(), tower_terms(deltas=False)), cyc, small_int)
-    def test_operations(self, s, t, z, n):
-        a, ra = Tower(s), RefTower(s)
-        b, rb = Tower(t), RefTower(t)
+    @given(
+        tower_terms(),
+        st.one_of(tower_terms(), tower_terms(deltas=False)),
+        st.lists(st.integers(-9, 9), min_size=4, max_size=4),
+        small_int,
+    )
+    def test_operations(self, s, t, zc, n):
+        a, ra = Tower(s), RefTower(_regrouped(s))
+        b, rb = Tower(t), RefTower(_regrouped(t))
+        z = Tower({(None, (), e): c for e, c in enumerate(zc)})
+        rz = RefTower({(None, ()): Cyc12(zc)})
         for new, ref in [
             (a, ra),
             (a + b, ra + rb),
             (a - b, ra - rb),
             (-a, -ra),
-            (a * z, ra * z),
+            (a * z, ra * rz),
             (a * n, ra * n),
             (n * a, n * ra),
         ]:
@@ -243,16 +261,28 @@ class TestTowerMatchesReference:
         for x, x2, r, r2 in [
             (a, b, ra, rb),
             ((a + b) - b, a, (ra + rb) - rb, ra),
-            (a * z - a * z, Tower.zero(), ra * z - ra * z, RefTower.zero()),
+            (a * z - a * z, Tower.zero(), ra * rz - ra * rz, RefTower.zero()),
             (a * n, n * a, ra * n, n * ra),
-            (a * z, a, ra * z, ra),
+            (a * z, a, ra * rz, ra),
         ]:
             assert (x == x2) == (r == r2)
             if x == x2:
                 assert hash(x) == hash(x2)
 
+    @settings(derandomize=True)
+    @given(tower_terms())
+    def test_repr_is_the_flat_constructor(self, s):
+        t = Tower(s)
+        assert Tower(t.terms) == t
+        assert repr(t) == f"Tower({t.terms!r})"
+        assert eval(repr(t), {"Tower": Tower}) == t
+
     def test_rejects_unknown_delta_key(self):
         with pytest.raises(ValueError, match="delta index must be 0, 1 or 2"):
-            Tower({(7, (1,)): Cyc12.from_int(1)})
-        with pytest.raises(ValueError, match="delta index must be 0, 1 or 2"):
-            Tower.from_flat({(7, (1,), 0): 1})
+            Tower({(7, (1,), 0): 1})
+
+    def test_rejects_bad_exponent_and_coefficient(self):
+        with pytest.raises(ValueError, match="zeta exponent must be 0, 1, 2 or 3"):
+            Tower({(None, (1,), 4): 1})
+        with pytest.raises(TypeError, match="Tower coefficient must be an int"):
+            Tower({(None, (1,), 0): 1.5})

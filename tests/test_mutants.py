@@ -10,40 +10,26 @@ import json
 
 import pytest
 
-from twostep import board, cli, mutation
+from twostep import algebra, board, cli, mutation, strings
 from twostep.algebra import Tower
 from twostep.board import rhombus_position
+from twostep.strings import covers
+
+AURA = ["verify", "--suite", "aura", "--max-n", "3"]
+ORACLE = ["verify", "--suite", "oracle", "--max-n", "3"]
+PIECES = ["verify", "--suite", "pieces"]
+GASHES = ["verify", "--suite", "gashes"]
+ZETA_SIX_IS_ONE = algebra._ZETA_REDUCE[:6] + (((0, 1),),)  # the reduction table for zeta^6 = +1
 
 # (name, object, attribute, faulty replacement, argv of the check that must exit 1)
 MUTANTS = [
-    (
-        "tower-sub-adds",
-        Tower,
-        "__sub__",
-        lambda a, b: a + b,
-        ["verify", "--suite", "aura", "--max-n", "3"],
-    ),
-    (
-        "tower-neg-is-identity",
-        Tower,
-        "__neg__",
-        lambda a: a,
-        ["verify", "--suite", "aura", "--max-n", "3"],
-    ),
-    (
-        "rhombus-position-swapped",
-        board,
-        "rhombus_position",
-        lambda x, yy, n: rhombus_position(x, yy, n)[::-1],
-        ["verify", "--suite", "oracle", "--max-n", "3"],
-    ),
-    (
-        "gash-class-is-singleton",
-        mutation,
-        "gash_class",
-        lambda g: frozenset({g}),
-        ["verify", "--suite", "gashes"],
-    ),
+    ("tower-sub-adds", Tower, "__sub__", lambda a, b: a + b, AURA),
+    ("tower-neg-is-identity", Tower, "__neg__", lambda a: a, AURA),
+    ("rhombus-position-swapped", board, "rhombus_position",
+     lambda x, yy, n: rhombus_position(x, yy, n)[::-1], ORACLE),
+    ("zeta-six-is-one", algebra, "_ZETA_REDUCE", ZETA_SIX_IS_ONE, PIECES),
+    ("covers-drops-first", strings, "covers", lambda u: covers(u)[1:], ORACLE),
+    ("gash-class-is-singleton", mutation, "gash_class", lambda g: frozenset({g}), GASHES),
 ]
 
 
@@ -51,6 +37,13 @@ MUTANTS = [
     "target, attr, fault, argv", [m[1:] for m in MUTANTS], ids=[m[0] for m in MUTANTS]
 )
 def test_mutant_is_caught(monkeypatch, capsys, target, attr, fault, argv):
+    # the oracle cache must hold no entry computed with a fault in place
+    strings.oracle_constant.cache_clear()
     monkeypatch.setattr(target, attr, fault)
-    assert cli.main(argv) == 1
-    assert json.loads(capsys.readouterr().out)["pass"] is False
+    try:
+        assert cli.main(argv) == 1
+    finally:
+        strings.oracle_constant.cache_clear()
+    out, err = capsys.readouterr()
+    assert json.loads(out)["pass"] is False
+    assert err == ""

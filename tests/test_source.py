@@ -144,7 +144,6 @@ def test_traced_methods_are_defined_in_their_class():
 # each kept for a stated reason
 DEFAULT_ONLY = {
     "main(argv)": "the tests drive the CLI in-process",
-    "Tower.__init__(terms)": "the public form that ``repr`` prints",
 }
 
 
