@@ -287,20 +287,14 @@ def check_scab_weight(P: FlawedPuzzle) -> dict:
     return _report("scab weight", f"marked scab at {P.flaw[1]}", lhs, rhs)
 
 
-def check_two_sums(
-    u: String012,
-    v: String012,
-    w: String012,
-    flawed: Iterable[FlawedPuzzle] | None = None,
-) -> dict:
+def check_two_sums(u: String012, v: String012, w: String012) -> dict:
     """The key identity behind the puzzle rule: over all flawed puzzles
     with outer boundary ``(u, v, w)``, the weighted equivariant auras of
     the scab-flawed members equal the weighted auras of the gash-pair-
-    flawed members.  A caller that holds ``list(enumerate_flawed(u, v,
-    w))`` passes it as ``flawed`` instead of having it enumerated again."""
+    flawed members."""
     lhs = Tower.zero()
     rhs = Tower.zero()
-    for P in enumerate_flawed(u, v, w) if flawed is None else flawed:
+    for P in enumerate_flawed(u, v, w):
         if P.flaw_type == "scab":
             lhs = lhs + equivariant_flawed_aura(P) * Tower.from_ypoly(P.base.weight())
         elif P.flaw_type == "gashpair":

@@ -144,15 +144,27 @@ class InvariantViolation(RuntimeError):
     break an assumption of the mutation theory."""
 
 
+class _Labels(dict):
+    """A puzzle's labels: a ``dict`` whose every write raises
+    ``TypeError``, since listed puzzles are shared by every caller (see
+    ``search``).  ``dict(P.labels)`` is a copy to edit."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("puzzle labels are read-only; edit a copy, dict(P.labels)")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
 @dataclass(frozen=True)
 class Puzzle:
     """A puzzle on the size-``n`` triangle.
 
     ``labels`` maps edges to labels (edges interior to a rhombus are
-    omitted); ``rhombi`` is the set of rhombus occurrences.  ``key``
-    (size, sorted labels, sorted rhombi) is the puzzle's identity:
-    equality and hashing compare it alone, here and in the gashed and
-    flawed puzzles built on a ``Puzzle``.
+    omitted) and is read-only; ``rhombi`` is the set of rhombus
+    occurrences.  ``key`` (size, sorted labels, sorted rhombi) is the
+    puzzle's identity: equality and hashing compare it alone, here and
+    in the gashed and flawed puzzles built on a ``Puzzle``.
     """
 
     n: int = field(compare=False)
@@ -161,9 +173,9 @@ class Puzzle:
     key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        labels = dict(self.labels)
+        labels = _Labels(self.labels)
         for r in self.rhombi:
-            labels.pop(rhombus_inner_edge(r), None)
+            dict.pop(labels, rhombus_inner_edge(r), None)
         object.__setattr__(self, "labels", labels)
         key = (self.n, tuple(sorted(labels.items())), tuple(sorted(self.rhombi)))
         object.__setattr__(self, "key", key)

@@ -357,9 +357,8 @@ def _suite_aura(max_n: int) -> list[dict]:
                 for r in (check_boundary_aura(P), check_scab_sum(P)):
                     if not r["pass"]:
                         bad.append(r)
-            # one enumeration feeds the two sums and the components
             flawed = list(enumerate_flawed(u, v, w))
-            for r in (check_two_sums(u, v, w, flawed), check_recursion(u, v, w)):
+            for r in (check_two_sums(u, v, w), check_recursion(u, v, w)):
                 if not r["pass"]:
                     bad.append(r)
             for P in flawed:

@@ -21,7 +21,8 @@ the two tables and every table derived from them (lookup indices, the
 step moves of the row-state engine, whose only special pieces are the
 temporary pieces, the ``replacements`` that move a gash across a
 triangle, gash classes, temporary-piece and scab tables, sliding gash
-sets, auras), each computed once per table value on first use.
+sets, auras), each computed once per table value on first use, and the
+engine's bounded memo of puzzle listings.
 :func:`validate_tables` gates everything downstream: it re-checks the
 counts, the one-replacement lemma behind gash propagation, label
 coverage, uniqueness of completion from two known sides, and the
@@ -34,6 +35,7 @@ derived tables.
 from __future__ import annotations
 
 import os
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -170,6 +172,14 @@ class PieceTables:
         special pieces are the temporary pieces: one table, kept on this
         value and shared by every pass that reads it."""
         return _StepMoves(self)
+
+    @cached_property
+    def listings(self) -> OrderedDict[tuple, tuple]:
+        """The complete puzzle listings of the row-state engine, by
+        ``(u, v, w, need)``, oldest use first: a bounded memo that
+        ``search`` fills, reads and trims, kept on this value so that no
+        other table value sees it."""
+        return OrderedDict()
 
     # -- gash propagation ----------------------------------------------------
 

@@ -28,6 +28,19 @@ built once per piece-table value and shared by every call:
   value, see ``strings.oracle_constant``) and the mutation and aura
   checks.
 
+A sweep lists each triple's neighbours too (a gash-pair flaw is a
+puzzle of a neighbouring boundary, and the aura recursion reads their
+constants), so complete listings are memoised in
+``PieceTables.listings``, owned by the table value like the step moves:
+a new table value starts with an empty memo.  It maps ``(u, v, w,
+need)`` to the tuple of ``(puzzle, cell)`` pairs in walk order and holds
+the ``_LISTINGS_CAPACITY`` most recently used listings.  A miss streams
+the walk, handing out each puzzle as it is built and validated, and
+stores the tuple only when the walk is exhausted; a listing abandoned
+or failing part-way stores nothing.  Listed puzzles are shared by every
+caller, so their labels are read-only (``board.Puzzle``).  Weights are
+not memoised.
+
 >>> from .strings import parse, fmt, extreme_constant
 >>> w = parse("120")
 >>> [P] = enumerate_puzzles(w, w, w)
@@ -40,11 +53,11 @@ True
 
 from __future__ import annotations
 
-from typing import Collection, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .algebra import YPoly, y
 from .board import Edge, InvariantViolation, Puzzle, rhombus_position
-from .labels import SIMPLE, tables
+from .labels import SIMPLE, PieceTables, tables
 from .strings import String012, all_strings, content
 
 __all__ = [
@@ -55,17 +68,15 @@ __all__ = [
 ]
 
 
+# complete listings kept in ``PieceTables.listings``, least recently
+# used dropped first
+_LISTINGS_CAPACITY = 64
+
+
 def enumerate_puzzles(u: String012, v: String012, w: String012) -> Iterator[Puzzle]:
     """Yield all puzzles with boundary ``(u, v, w)`` in deterministic order."""
-    for P, _ in _walk(u, v, w, False):
-        yield _checked(P)
-
-
-def _checked(P: Puzzle) -> Puzzle:
-    problems = P.validate()
-    if problems:
-        raise InvariantViolation(f"built an invalid puzzle: {problems}")
-    return P
+    for P, _ in _listing(u, v, w, False):
+        yield P
 
 
 def enumerate_one_special(
@@ -76,21 +87,50 @@ def enumerate_one_special(
     holds a temporary piece: a key of ``PieceTables.temporaries`` (as
     ``(left, right, bottom)``) or of ``down_temporaries`` (as ``(nw, ne,
     top)``)."""
-    yield from _walk(u, v, w, True)
+    yield from _listing(u, v, w, True)
+
+
+def _listing(u: String012, v: String012, w: String012, need: bool) -> Iterable[tuple]:
+    """The tilings that ``_walk`` lists for ``(u, v, w, need)``, with
+    their cells: the memoised tuple, or else the walk, stored once it is
+    complete."""
+    t = tables()
+    key = (u, v, w, need)
+    done = t.listings.get(key)
+    if done is None:
+        return _walk_and_store(t, key)
+    t.listings.move_to_end(key)
+    return done
+
+
+def _walk_and_store(t: PieceTables, key: tuple) -> Iterator[tuple]:
+    """Stream the walk of ``key``, validating each plain puzzle before it
+    is handed out, and store the listing in ``t.listings`` once the walk
+    is exhausted."""
+    need = key[3]
+    out = []
+    for P, cell in _walk(*key, t.step_moves):
+        if not need and (problems := P.validate()):
+            raise InvariantViolation(f"built an invalid puzzle: {problems}")
+        out.append((P, cell))
+        yield P, cell
+    memo = t.listings
+    memo[key] = tuple(out)
+    if len(memo) > _LISTINGS_CAPACITY:
+        memo.popitem(last=False)
 
 
 def _walk(
-    u: String012, v: String012, w: String012, need: bool
+    u: String012, v: String012, w: String012, need: bool, moves: dict[tuple, tuple]
 ) -> Iterator[tuple[Puzzle, tuple[str, int, int] | None]]:
     """Each tiling of ``(u, v, w)`` with no temporary piece, or with
-    exactly one if ``need``, with its temporary cell, in the order of the
-    moves."""
+    exactly one if ``need``, with its temporary cell, in the order of
+    ``moves``, the table's ``step_moves``."""
     n = len(u)
     if not (len(v) == len(w) == n):
         raise ValueError("boundary strings must have equal length")
     if not (content(u) == content(v) == content(w)):
         return
-    moves = tables().step_moves
     steps = [(x, yy) for yy in range(n) for x in range(yy + 1)]
     # per step: the label the right border gives B(x, y), the bottom-row
     # key of the moves, and the carry A(0, y+1) after the last step of a row

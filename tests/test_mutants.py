@@ -10,16 +10,20 @@ import json
 
 import pytest
 
-from twostep import algebra, board, cli, mutation, strings
+from twostep import algebra, board, cli, mutation, search, strings
 from twostep.algebra import Tower
 from twostep.board import rhombus_position
+from twostep.labels import tables
 from twostep.strings import covers
 
 AURA = ["verify", "--suite", "aura", "--max-n", "3"]
+MUTATION = ["verify", "--suite", "mutation", "--max-n", "3"]
 ORACLE = ["verify", "--suite", "oracle", "--max-n", "3"]
 PIECES = ["verify", "--suite", "pieces"]
 GASHES = ["verify", "--suite", "gashes"]
 ZETA_SIX_IS_ONE = algebra._ZETA_REDUCE[:6] + (((0, 1),),)  # the reduction table for zeta^6 = +1
+OUT_UP_SWAPPED = (mutation.OUT_UP[1], mutation.OUT_UP[0], *mutation.OUT_UP[2:])
+WALK = search._walk
 
 # (name, object, attribute, faulty replacement, argv of the check that must exit 1)
 MUTANTS = [
@@ -30,6 +34,8 @@ MUTANTS = [
     ("zeta-six-is-one", algebra, "_ZETA_REDUCE", ZETA_SIX_IS_ONE, PIECES),
     ("covers-drops-first", strings, "covers", lambda u: covers(u)[1:], ORACLE),
     ("gash-class-is-singleton", mutation, "gash_class", lambda g: frozenset({g}), GASHES),
+    ("out-up-swapped", mutation, "OUT_UP", OUT_UP_SWAPPED, MUTATION),
+    ("walk-drops-last", search, "_walk", lambda *key: iter(list(WALK(*key))[:-1]), ORACLE),
 ]
 
 
@@ -37,13 +43,16 @@ MUTANTS = [
     "target, attr, fault, argv", [m[1:] for m in MUTANTS], ids=[m[0] for m in MUTANTS]
 )
 def test_mutant_is_caught(monkeypatch, capsys, target, attr, fault, argv):
-    # the oracle cache must hold no entry computed with a fault in place
+    # neither the oracle cache nor the listing memo may hold an entry
+    # computed with a fault in place, or one that would hide the fault
     strings.oracle_constant.cache_clear()
+    tables().listings.clear()
     monkeypatch.setattr(target, attr, fault)
     try:
         assert cli.main(argv) == 1
     finally:
         strings.oracle_constant.cache_clear()
+        tables().listings.clear()
     out, err = capsys.readouterr()
     assert json.loads(out)["pass"] is False
     assert err == ""

@@ -10,8 +10,10 @@ import reference_oracle
 import reference_search
 from conftest import table_text
 from reference_search import restriction_puzzle
+from twostep import search
+from twostep.aura import check_recursion, check_two_sums
 from twostep.labels import tables
-from twostep.mutation import down_temporary_table, temporary_table
+from twostep.mutation import down_temporary_table, enumerate_flawed, temporary_table
 from twostep.strings import (
     all_strings,
     bruhat_leq,
@@ -151,21 +153,47 @@ def test_enumerated_puzzles_have_right_boundary():
 # -- the listing walk against the backtracking reference ----------------------
 
 
-def assert_lists_match_reference(u, v, w):
-    got, want = enumerate_puzzles(u, v, w), reference_search.enumerate_puzzles(u, v, w)
-    assert [P.key for P in got] == [P.key for P in want], (u, v, w)
+def listed(u, v, w):
+    """The plain puzzle keys and the ``(key, cell)`` pairs of the
+    one-special listing of ``(u, v, w)``, in order."""
+    return (
+        [P.key for P in enumerate_puzzles(u, v, w)],
+        [(P.key, cell) for P, cell in enumerate_one_special(u, v, w)],
+    )
+
+
+def reference_listed(u, v, w):
+    """``listed`` by the backtracking reference."""
     # the reference takes its special pieces as sets: the temporary pieces
     sp_up, sp_down = set(temporary_table()), set(down_temporary_table())
-    got = enumerate_one_special(u, v, w)
-    want = reference_search.enumerate_one_special(u, v, w, sp_up, sp_down)
-    assert [(P.key, cell) for P, cell in got] == [(P.key, cell) for P, cell in want], (u, v, w)
+    return (
+        [P.key for P in reference_search.enumerate_puzzles(u, v, w)],
+        [
+            (P.key, cell)
+            for P, cell in reference_search.enumerate_one_special(u, v, w, sp_up, sp_down)
+        ],
+    )
+
+
+def assert_lists_match_reference(u, v, w):
+    assert listed(u, v, w) == reference_listed(u, v, w), (u, v, w)
 
 
 def test_listing_matches_reference_up_to_4():
-    assert_lists_match_reference((), (), ())
-    for a, b, n in contents_up_to(4):
-        for u, v, w in itertools.product(all_strings(a, b, n), repeat=3):
-            assert_lists_match_reference(u, v, w)
+    # each triple is listed twice from an emptied memo: the walk, which
+    # stores both listings, then the memo's copy
+    listings = tables().listings
+    triples = [((), (), ())] + [
+        t
+        for a, b, n in contents_up_to(4)
+        for t in itertools.product(all_strings(a, b, n), repeat=3)
+    ]
+    for u, v, w in triples:
+        listings.clear()
+        want = reference_listed(u, v, w)
+        assert listed(u, v, w) == want, (u, v, w)
+        assert set(listings) == {(u, v, w, False), (u, v, w, True)}
+        assert listed(u, v, w) == want, (u, v, w)
 
 
 def test_listing_matches_reference_n5_sample():
@@ -207,13 +235,17 @@ def test_one_special_tables_are_kept_apart():
 
 
 def test_step_moves_have_one_owner(monkeypatch, tmp_path):
+    # and so does the memo of listings
     u, v, w = (parse(s) for s in HEAVY_TRIPLES[1])
     old = tables()
     assert old.step_moves is old.step_moves
+    assert old.listings is old.listings
     assert_lists_match_reference(u, v, w)
     filled = dict(old.step_moves)
+    listed_before = dict(old.listings)
     # both listings filled the table: plain and temporary-piece entries
     assert {key[-1] for key in filled} == {False, True}
+    assert {(u, v, w, False), (u, v, w, True)} <= set(listed_before)
 
     copy = tmp_path / "tables.txt"
     copy.write_text(table_text())
@@ -221,11 +253,14 @@ def test_step_moves_have_one_owner(monkeypatch, tmp_path):
     new = tables()
     assert new is not old
     assert len(new.step_moves) == 0
+    assert len(new.listings) == 0
     assert_lists_match_reference(u, v, w)
     assert {key[-1] for key in new.step_moves} == {False, True}
+    assert set(new.listings) == {(u, v, w, False), (u, v, w, True)}
     assert new.step_moves is not old.step_moves
-    # the old value's table saw none of the second listing
+    # the old value's tables saw none of the second listing
     assert old.step_moves == filled
+    assert old.listings == listed_before
 
 
 def test_empty_boundary():
@@ -235,9 +270,8 @@ def test_empty_boundary():
 
 
 def test_listing_is_lazy(monkeypatch):
-    import twostep.search as search
-
     u, v, w = (parse(s) for s in HEAVY_TRIPLES[1])
+    tables().listings.clear()
     built = []
     build = search._build
     monkeypatch.setattr(search, "_build", lambda *a: built.append(1) or build(*a))
@@ -245,6 +279,97 @@ def test_listing_is_lazy(monkeypatch):
     assert first.key == next(iter(reference_search.enumerate_puzzles(u, v, w))).key
     # one of the nine puzzles is built before the first is handed out
     assert len(built) == 1
+
+
+# -- the memo of complete listings ---------------------------------------------
+
+
+def test_listings_keep_the_most_recent():
+    capacity = search._LISTINGS_CAPACITY
+    triples = list(itertools.product(all_strings(1, 2, 4), repeat=3))[: 2 * capacity]
+    listings = tables().listings
+    listings.clear()
+    for u, v, w in triples:
+        list(enumerate_puzzles(u, v, w))
+    assert len(listings) == capacity
+    assert list(listings) == [(*t, False) for t in triples[capacity:]]
+    # a hit makes its key the most recent, so the next miss drops another
+    list(enumerate_puzzles(*triples[capacity]))
+    list(enumerate_puzzles(*triples[0]))
+    assert len(listings) == capacity
+    assert list(listings)[-2:] == [(*triples[capacity], False), (*triples[0], False)]
+    assert (*triples[capacity + 1], False) not in listings
+
+
+def test_listing_stores_only_when_complete(monkeypatch):
+    u, v, w = (parse(s) for s in HEAVY_TRIPLES[1])
+    listings = tables().listings
+    listings.clear()
+    # abandoned after the first puzzle
+    for listing in (enumerate_puzzles(u, v, w), enumerate_one_special(u, v, w)):
+        next(listing)
+        listing.close()
+    assert len(listings) == 0
+
+    # a walk that fails part-way
+    build = search._build
+    built = []
+
+    def fail_third(*args):
+        built.append(1)
+        if len(built) == 3:
+            raise RuntimeError("third build")
+        return build(*args)
+
+    monkeypatch.setattr(search, "_build", fail_third)
+    with pytest.raises(RuntimeError, match="^third build$"):
+        list(enumerate_puzzles(u, v, w))
+    assert len(listings) == 0
+
+
+def test_listed_puzzles_are_read_only():
+    u, v, w = (parse(s) for s in HEAVY_TRIPLES[1])
+    [P, *_] = enumerate_puzzles(u, v, w)
+    [Q, *_] = enumerate_puzzles(u, v, w)
+    assert P is Q  # the memo's puzzle, shared
+    e = next(iter(P.labels))
+    writes = [
+        lambda L: L.__setitem__(e, 0),
+        lambda L: L.__delitem__(e),
+        lambda L: L.__ior__({e: 0}),
+        lambda L: L.clear(),
+        lambda L: L.pop(e),
+        lambda L: L.popitem(),
+        lambda L: L.setdefault(("H", 99, 99), 0),
+        lambda L: L.update({e: 0}),
+    ]
+    labels = dict(P.labels)
+    for write in writes:
+        with pytest.raises(TypeError, match="read-only"):
+            write(P.labels)
+    assert P.labels == labels
+    # a copy is an ordinary dict
+    copy = dict(P.labels)
+    copy[e] = 0
+    assert type(copy) is dict
+
+
+def test_sweep_triple_walks_each_boundary_once(monkeypatch):
+    # the listings of one triple of the mutation and aura sweeps, in the
+    # benchmark's order (``perfbench/ops.py:sweep_triple``): the flaws are
+    # puzzles of the neighbouring boundaries, and the recursion reads the
+    # neighbours' constants; without the memo each walk ran four times
+    u, v, w = parse("2102"), parse("0221"), parse("2120")
+    walks = []
+    walk = search._walk
+    monkeypatch.setattr(search, "_walk", lambda *args: walks.append(args[:4]) or walk(*args))
+    tables().listings.clear()
+    flawed = list(enumerate_flawed(u, v, w))
+    puzzles = list(enumerate_puzzles(u, v, w))
+    assert check_two_sums(u, v, w)["pass"] and check_recursion(u, v, w)["pass"]
+    assert list(enumerate_flawed(u, v, w)) == flawed
+    assert (len(puzzles), len(flawed)) == (3, 20)
+    assert len(walks) == len(set(walks)) == 9
 
 
 # -- product_expansion (row transfer) against the enumerator -------------------
