@@ -3,7 +3,7 @@
 Two rings live here:
 
 - :class:`YPoly` -- sparse multivariate polynomials with integer
-  coefficients in variables ``y1, y2, ...``.
+  coefficients in variables ``y1, ..., y64``.
 - :class:`Tower` -- elements of ``Z[zeta][delta0,delta1,delta2][y]`` that
   are at most linear in the ``delta`` variables (nothing here ever
   multiplies two deltas; enforcing that catches bugs loudly), where
@@ -14,6 +14,17 @@ Two rings live here:
   ``z^(e1+e2)`` with ``e1 + e2`` in 0..6, read off ``_ZETA_POWERS``, a
   literal table of the seven reduced powers (``z^4 = z^2 - 1``,
   ``z^5 = z^3 - z``, ``z^6 = -1``).
+
+Both key a y-monomial ``y1^a1 * y2^a2 * ...`` by one packed ``int``:
+the exponent ``a_i`` fills the 8-bit field at bit ``8(i-1)``, so there
+are 64 variables.  The top bit of each field is its guard bit, so an
+exponent is at most 127.  Two fields of at most 127 sum to at most 254
+and never carry into the next field: a monomial product is one integer
+addition, and it overflowed exactly when the sum has a guard bit set.
+That raises :class:`ExponentOverflow`; an exponent never wraps.  The
+packing is private to this module: the constructors take exponent
+tuples, and ``tuple_terms()`` gives the terms back with exponent tuples
+(trailing zeros stripped), the form ``repr`` shows.
 
 Every coefficient is an ``int``: the public constructors raise
 ``TypeError`` for anything else.
@@ -38,6 +49,7 @@ __all__ = [
     "format_poly",
     "exact_divide",
     "NotDivisible",
+    "ExponentOverflow",
     "NotInDifferenceRing",
     "graham_decompose",
     "is_graham_positive",
@@ -46,47 +58,85 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Sparse integer polynomials in y1, y2, ...
+# Packed monomials
 
 Mono = tuple[int, ...]  # exponent vector, trailing zeros stripped
 
+_NVARS = 64  # the variables y1 .. y64, one byte each
+_MAX_EXP = 127  # the top bit of each byte is its guard bit
+_GUARD = int.from_bytes(b"\x80" * _NVARS, "little")
+_OVERFLOW = f"an exponent is over {_MAX_EXP}"
 
-def _strip(mono: Iterable[int]) -> Mono:
-    m = list(mono)
-    while m and m[-1] == 0:
-        m.pop()
-    return tuple(m)
+
+class ExponentOverflow(OverflowError):
+    """Raised when an exponent would reach 128, the guard bit of its field."""
+
+
+def _pack(mono: Iterable[int]) -> int:
+    """The packed key of the exponent vector ``mono``."""
+    key = 0
+    for i, e in enumerate(mono):
+        if e < 0:
+            raise ValueError("negative exponent")
+        if e > _MAX_EXP:
+            raise ExponentOverflow(f"exponent {e} of y{i + 1} is over {_MAX_EXP}")
+        if e:
+            if i >= _NVARS:
+                raise ValueError(f"y{i + 1} is past y{_NVARS}")
+            key |= e << (8 * i)
+    return key
+
+
+def _unpack(key: int) -> Mono:
+    """The exponent vector of the packed key ``key``."""
+    return tuple(key.to_bytes(_NVARS, "little").rstrip(b"\0"))
+
+
+def _degree(key: int) -> int:
+    """The total degree of the packed key ``key``."""
+    return sum(key.to_bytes(_NVARS, "little"))
+
+
+# ---------------------------------------------------------------------------
+# Sparse integer polynomials in y1, ..., y64
 
 
 class YPoly:
-    """A sparse polynomial over ``Z`` in variables ``y1, y2, ...``.
+    """A sparse polynomial over ``Z`` in variables ``y1, ..., y64``.
 
-    Stored as a map from exponent vectors (trailing zeros stripped) to
-    nonzero integer coefficients.
+    Stored as a map ``terms`` from packed monomials to nonzero integer
+    coefficients (the packing is in the module docstring).  The
+    constructor takes exponent tuples, ``tuple_terms()`` gives them
+    back, and ``repr`` shows that form.  An exponent is at most 127: a
+    larger one in the constructor, ``*`` or ``**`` raises
+    :class:`ExponentOverflow`.
 
     >>> p = (y(4) - y(1)) * (y(4) - y(3))
     >>> p.degree()
     2
     >>> format_poly(p)
     '1*y1*y3 - 1*y1*y4 - 1*y3*y4 + 1*y4^2'
+    >>> p.tuple_terms()[(0, 0, 0, 2)]
+    1
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Mono, int] | None = None):
-        d: dict[Mono, int] = {}
-        if terms:
-            for m, c in terms.items():
-                if not isinstance(c, int):
-                    raise TypeError(f"YPoly coefficient must be an int, not {type(c).__name__}")
-                if c:
-                    d[_strip(m)] = d.get(_strip(m), 0) + int(c)
+    def __init__(self, terms: Mapping[Iterable[int], int]):
+        """Build from ``exponent tuple -> int`` terms, summing repeated
+        monomials."""
+        d: dict[int, int] = {}
+        for m, c in terms.items():
+            if not isinstance(c, int):
+                raise TypeError(f"YPoly coefficient must be an int, not {type(c).__name__}")
+            key = _pack(m)
+            d[key] = d.get(key, 0) + int(c)
         self.terms = {m: c for m, c in d.items() if c}
 
     @classmethod
-    def _canonical(cls, terms: Mapping[Mono, int]) -> "YPoly":
-        """Wrap ``terms`` whose monomials are already stripped, dropping
-        zero coefficients; the ring operations build their results here."""
+    def _canonical(cls, terms: Mapping[int, int]) -> "YPoly":
+        """Wrap packed ``terms``, dropping zero coefficients; the ring
+        operations build their results here."""
         p = cls.__new__(cls)
         p.terms = {m: c for m, c in terms.items() if c}
         return p
@@ -94,8 +144,26 @@ class YPoly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def zero() -> "YPoly":
+        return YPoly._canonical({})
+
+    @staticmethod
     def const(n: int) -> "YPoly":
-        return YPoly({(): n}) if n else YPoly()
+        return YPoly({(): n})
+
+    @staticmethod
+    def combination(parts: Iterable[tuple[int, "YPoly"]]) -> "YPoly":
+        """The sum of ``k * p`` over the ``(k, p)`` pairs of ``parts``,
+        built in one dict.
+
+        >>> YPoly.combination([(2, y(1)), (-1, y(1) - y(2))]) == y(1) + y(2)
+        True
+        """
+        d: dict[int, int] = {}
+        for k, p in parts:
+            for m, c in p.terms.items():
+                d[m] = d.get(m, 0) + k * c
+        return YPoly._canonical(d)
 
     # -- ring structure ----------------------------------------------------
 
@@ -134,10 +202,12 @@ class YPoly:
     def __mul__(self, other) -> "YPoly":
         if isinstance(other, int):
             return YPoly._canonical({m: other * c for m, c in self.terms.items()})
-        d: dict[Mono, int] = {}
+        d: dict[int, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
+                m = m1 + m2
+                if m & _GUARD:
+                    raise ExponentOverflow(_OVERFLOW)
                 d[m] = d.get(m, 0) + c1 * c2
         return YPoly._canonical(d)
 
@@ -151,32 +221,35 @@ class YPoly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     # -- inspection --------------------------------------------------------
 
+    def tuple_terms(self) -> dict[Mono, int]:
+        """The terms with exponent tuples (trailing zeros stripped) as keys."""
+        return {_unpack(m): c for m, c in self.terms.items()}
+
     def degree(self) -> int:
         """Total degree (-1 for the zero polynomial)."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
+        return max(map(_degree, self.terms), default=-1)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
+        return len(set(map(_degree, self.terms))) <= 1
 
     def nvars(self) -> int:
-        return max((len(m) for m in self.terms), default=0)
+        # a key's highest variable is its highest nonzero byte
+        return (max(self.terms, default=0).bit_length() + 7) // 8
 
     def coeff(self, mono: Iterable[int]) -> int:
-        return self.terms.get(_strip(mono), 0)
+        return self.terms.get(_pack(mono), 0)
 
     def substitute(self, values: Mapping[int, "YPoly"]) -> "YPoly":
         """Substitute ``y_i -> values[i]`` (1-based; missing i stays ``y_i``)."""
-        out = YPoly()
-        for m, c in self.terms.items():
+        out = YPoly.zero()
+        for m, c in self.tuple_terms().items():
             term = YPoly.const(c)
             for i, e in enumerate(m, start=1):
                 if not e:
@@ -186,30 +259,21 @@ class YPoly:
         return out
 
     def __repr__(self) -> str:
-        return f"YPoly({self.terms!r})"
+        return f"YPoly({self.tuple_terms()!r})"
 
     def __str__(self) -> str:
         return format_poly(self)
 
 
-def _mono_mul(m1: Mono, m2: Mono) -> Mono:
-    if len(m1) < len(m2):
-        m1, m2 = m2, m1
-    if not m2:
-        return m1
-    padded = list(m2) + [0] * (len(m1) - len(m2))
-    return tuple(a + b for a, b in zip(m1, padded))
-
-
 def y(i: int) -> YPoly:
-    """The variable ``y_i`` (1-based).
+    """The variable ``y_i`` (1-based, at most ``y64``).
 
     >>> str(y(2))
     '1*y2'
     """
-    if i < 1:
-        raise ValueError("variables are 1-based")
-    return YPoly({(0,) * (i - 1) + (1,): 1})
+    if not 1 <= i <= _NVARS:
+        raise ValueError(f"variables are y1 .. y{_NVARS}")
+    return YPoly._canonical({1 << (8 * (i - 1)): 1})
 
 
 # -- canonical text form ----------------------------------------------------
@@ -224,15 +288,15 @@ def format_poly(p: YPoly) -> str:
 
     >>> format_poly(y(5) + y(4) - y(3) - y(1))
     '-1*y1 - 1*y3 + 1*y4 + 1*y5'
-    >>> format_poly(YPoly())
+    >>> format_poly(YPoly.zero())
     '0'
     """
-    if not p.terms:
+    terms = p.tuple_terms()
+    if not terms:
         return "0"
     parts = []
-    for m in sorted(p.terms, key=_mono_key):
-        c = p.terms[m]
-        factors = [str(c)]
+    for m in sorted(terms, key=_mono_key):
+        factors = [str(terms[m])]
         for i, e in enumerate(m, start=1):
             if e == 1:
                 factors.append(f"y{i}")
@@ -261,9 +325,15 @@ def exact_divide(p: YPoly, l: YPoly) -> YPoly:
     (a non-integral quotient) or of the whole division raises
     :class:`NotDivisible`.
 
+    A quotient monomial is the dividend's with its ``y_k`` field lowered
+    by one, a subtraction of the packed ``y_k``.  No field can carry
+    into the next: a field starts at most at 127, and each of the at
+    most 127 rows adds at most 1 to it.  An exact quotient divides
+    ``p``, so its exponents are at most 127.
+
     >>> exact_divide((y(4) - y(1)) * (y(4) - y(3)), y(4) - y(1)) == y(4) - y(3)
     True
-    >>> exact_divide(YPoly(), y(2) - y(1)) == YPoly()
+    >>> exact_divide(YPoly.zero(), y(2) - y(1)) == YPoly.zero()
     True
     >>> exact_divide(y(1) * y(2), y(1) + y(2))  # doctest: +IGNORE_EXCEPTION_DETAIL
     Traceback (most recent call last):
@@ -273,16 +343,17 @@ def exact_divide(p: YPoly, l: YPoly) -> YPoly:
     if not l or l.degree() != 1 or not l.is_homogeneous():
         raise ValueError("divisor must be a nonzero homogeneous linear form")
     if not p:
-        return YPoly()
-    k = max(len(m) for m in l.terms)  # highest variable index in l
-    c_pivot = l.terms[(0,) * (k - 1) + (1,)]
-    rest = [(m, c) for m, c in l.terms.items() if len(m) < k]
+        return YPoly.zero()
+    pivot = max(l.terms)  # the packed y_k, the highest variable in l
+    c_pivot = l.terms[pivot]
+    rest = [(m, c) for m, c in l.terms.items() if m != pivot]
+    shift = pivot.bit_length() - 1
 
     # the terms of p grouped by their exponent of y_k
-    rows: dict[int, dict[Mono, int]] = {}
+    rows: dict[int, dict[int, int]] = {}
     for m, c in p.terms.items():
-        rows.setdefault(m[k - 1] if len(m) >= k else 0, {})[m] = c
-    out: dict[Mono, int] = {}
+        rows.setdefault((m >> shift) & 0xFF, {})[m] = c
+    out: dict[int, int] = {}
     for e in range(max(rows), 0, -1):
         below = rows.setdefault(e - 1, {})
         for m, c in rows.pop(e, {}).items():
@@ -291,11 +362,11 @@ def exact_divide(p: YPoly, l: YPoly) -> YPoly:
             q, r = divmod(c, c_pivot)
             if r:
                 raise NotDivisible("non-integral quotient")
-            qm = _strip(m[: k - 1] + (e - 1,) + m[k:])
+            qm = m - pivot
             out[qm] = q
             # subtract q * y^qm * rest, whose terms have y_k-degree e - 1
             for m2, c2 in rest:
-                mm = _mono_mul(qm, m2)
+                mm = qm + m2
                 below[mm] = below.get(mm, 0) - q * c2
     if any(rows[0].values()):
         raise NotDivisible("nonzero remainder")
@@ -332,8 +403,8 @@ def graham_decompose(p: YPoly) -> dict[Mono, int]:
     n = p.nvars()
     # substitute y_1 -> 0, y_i -> z_1 + ... + z_(i-1); the z_t live in the
     # same sparse representation (variable t).
-    subs = {1: YPoly()}
-    acc = YPoly()
+    subs = {1: YPoly.zero()}
+    acc = YPoly.zero()
     for i in range(2, n + 1):
         acc = acc + y(i - 1)  # z_(i-1) as variable i-1
         subs[i] = acc
@@ -342,7 +413,7 @@ def graham_decompose(p: YPoly) -> dict[Mono, int]:
     back = {t: y(t + 1) - y(t) for t in range(1, n)}
     if q.substitute(back) != p:
         raise NotInDifferenceRing("not a polynomial in the differences")
-    return dict(q.terms)
+    return q.tuple_terms()
 
 
 def is_graham_positive(p: YPoly) -> bool:
@@ -360,7 +431,7 @@ def is_graham_positive(p: YPoly) -> bool:
 # The delta-linear tower ring
 
 DeltaKey = int | None  # None = delta-free part; 0/1/2 = coefficient of delta_i
-FlatKey = tuple[DeltaKey, Mono, int]  # (delta_key, y_monomial, zeta exponent 0..3)
+FlatKey = tuple[DeltaKey, int, int]  # (delta_key, packed y-monomial, zeta exponent 0..3)
 
 # zeta^k for k = 0..6 (the exponent sums of two basis elements) in the
 # basis 1, z, z^2, z^3, reduced by z^4 = z^2 - 1
@@ -384,13 +455,16 @@ class Tower:
     Stored flat as a map ``(delta_key, y_monomial, e) -> int``: the
     integer coefficient of ``zeta^e * delta * y^monomial``, where
     ``delta_key`` is ``None`` for the delta-free part or ``i`` for
-    ``delta_i``, the monomial has its trailing zeros stripped, ``e`` is
+    ``delta_i``, the monomial is packed as in :class:`YPoly` (so
+    :meth:`from_ypoly` copies keys and a product adds them), ``e`` is
     0..3 (the basis ``1, z, z^2, z^3``) and no coefficient is zero.  The
-    constructor takes the same form, and ``repr`` shows it.  A product
+    constructor takes the same form with exponent tuples,
+    ``tuple_terms()`` gives it back, and ``repr`` shows it.  A product
     reduces ``zeta^(e1+e2)`` for ``e1 + e2`` in 4..6 through
-    ``_ZETA_REDUCE``.  ``str`` groups the terms by delta and monomial.
-    Multiplying two elements that both carry deltas raises (the calculus
-    never needs it).
+    ``_ZETA_REDUCE``, and raises :class:`ExponentOverflow` for a
+    y-exponent over 127.  ``str`` groups the terms by delta and
+    monomial.  Multiplying two elements that both carry deltas raises
+    (the calculus never needs it).
 
     >>> a = Tower.delta(0) * Tower.zeta(3)
     >>> b = Tower.delta(1) * Tower.zeta(3)
@@ -405,8 +479,8 @@ class Tower:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple[DeltaKey, Iterable[int], int], int]):
-        """Build from flat ``(delta_key, y_monomial, e) -> int`` terms,
-        stripping monomials and summing repeated keys."""
+        """Build from flat ``(delta_key, exponent tuple, e) -> int``
+        terms, summing repeated keys."""
         d: dict[FlatKey, int] = {}
         for (dk, m, e), c in terms.items():
             if dk not in (None, 0, 1, 2):
@@ -415,13 +489,13 @@ class Tower:
                 raise ValueError("zeta exponent must be 0, 1, 2 or 3")
             if not isinstance(c, int):
                 raise TypeError(f"Tower coefficient must be an int, not {type(c).__name__}")
-            key = (dk, _strip(m), e)
+            key = (dk, _pack(m), e)
             d[key] = d.get(key, 0) + int(c)
         self.terms = {k: c for k, c in d.items() if c}
 
     @classmethod
     def _canonical(cls, terms: dict[FlatKey, int]) -> "Tower":
-        """Wrap flat ``terms`` that are already canonical (stripped
+        """Wrap flat ``terms`` that are already canonical (packed
         monomials, ``e`` in 0..3, no zero coefficient); the ring
         operations build their results here."""
         t = object.__new__(cls)
@@ -436,7 +510,7 @@ class Tower:
 
     @staticmethod
     def const(n: int) -> "Tower":
-        return Tower._canonical({(None, (), 0): n} if n else {})
+        return Tower._canonical({(None, 0, 0): n} if n else {})
 
     @staticmethod
     def zeta(k: int) -> "Tower":
@@ -457,14 +531,14 @@ class Tower:
         k %= 12
         sign = -1 if k >= 6 else 1
         return Tower._canonical(
-            {(None, (), e): sign * c for e, c in enumerate(_ZETA_POWERS[k % 6]) if c}
+            {(None, 0, e): sign * c for e, c in enumerate(_ZETA_POWERS[k % 6]) if c}
         )
 
     @staticmethod
     def delta(i: int) -> "Tower":
         if i not in (0, 1, 2):
             raise ValueError("delta index must be 0, 1 or 2")
-        return Tower._canonical({(i, (), 0): 1})
+        return Tower._canonical({(i, 0, 0): 1})
 
     @staticmethod
     def from_ypoly(p: YPoly) -> "Tower":
@@ -515,7 +589,9 @@ class Tower:
                 if dk1 is not None and dk2 is not None:
                     raise ValueError("product would be quadratic in delta")
                 dk = dk1 if dk1 is not None else dk2
-                m = _mono_mul(m1, m2)
+                m = m1 + m2
+                if m & _GUARD:
+                    raise ExponentOverflow(_OVERFLOW)
                 c = c1 * c2
                 for e, z in _ZETA_REDUCE[e1 + e2]:
                     key = (dk, m, e)
@@ -524,14 +600,19 @@ class Tower:
 
     __rmul__ = __mul__
 
+    def tuple_terms(self) -> dict[tuple[DeltaKey, Mono, int], int]:
+        """The flat terms with exponent tuples (trailing zeros stripped)
+        as monomials."""
+        return {(dk, _unpack(m), e): c for (dk, m, e), c in self.terms.items()}
+
     def __repr__(self) -> str:
-        return f"Tower({self.terms!r})"
+        return f"Tower({self.tuple_terms()!r})"
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         groups: dict[tuple[DeltaKey, Mono], list[int]] = {}
-        for (dk, m, e), c in self.terms.items():
+        for (dk, m, e), c in self.tuple_terms().items():
             groups.setdefault((dk, m), [0, 0, 0, 0])[e] = c
         parts = []
         for dk, m in sorted(groups, key=lambda k: (-1 if k[0] is None else k[0], _mono_key(k[1]))):

@@ -127,7 +127,7 @@ def edge_weight(e: Edge, n: int) -> YPoly:
         return y(n - yy + x)
     if yy == n - 1:
         return y(x + 1)
-    return YPoly()
+    return YPoly.zero()
 
 
 def rhombus_position(x: int, yy: int, n: int) -> tuple[int, int]:

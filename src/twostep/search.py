@@ -188,7 +188,7 @@ def _build(u, path) -> tuple[Puzzle, tuple[str, int, int] | None]:
 
 def structure_constant(u: String012, v: String012, w: String012) -> YPoly:
     """Sum of weights over all puzzles with boundary ``(u, v, w)``."""
-    out = YPoly()
+    out = YPoly.zero()
     for P in enumerate_puzzles(u, v, w):
         out = out + P.weight()
     return out

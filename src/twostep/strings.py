@@ -304,7 +304,7 @@ def oracle_constant(u: String012, v: String012, w: String012) -> YPoly:
         raise ValueError("mismatched string types")
     deg = length(u) + length(v) - length(w)
     if deg < 0 or not (bruhat_leq(u, w) and bruhat_leq(v, w)):
-        return YPoly()
+        return YPoly.zero()
     if u == w and v == w:
         return extreme_constant(w)
     if u == w:
@@ -314,14 +314,9 @@ def oracle_constant(u: String012, v: String012, w: String012) -> YPoly:
     #   (C_u - C_w) C^w_(u,v)
     #     = sum_(w'->w) delta(w'/w) C^(w')_(u,v)
     #       - sum_(u->u') delta(u/u') C^w_(u',v)
-    # accumulated in one dict: k * C for each (k, C) on the right
-    terms: dict[tuple[int, ...], int] = {}
-    parts = [(c.delta_spec(), (u, v, c.before)) for c in cocovers(w)]
-    parts += [(-c.delta_spec(), (c.after, v, w)) for c in covers(u)]
-    for k, triple in parts:
-        for m, coeff in oracle_constant(*triple).terms.items():
-            terms[m] = terms.get(m, 0) + k * coeff
-    rhs = YPoly(terms)
+    parts = [(c.delta_spec(), oracle_constant(u, v, c.before)) for c in cocovers(w)]
+    parts += [(-c.delta_spec(), oracle_constant(c.after, v, w)) for c in covers(u)]
+    rhs = YPoly.combination(parts)
     if not rhs:
         return rhs
     # C_u - C_w at DELTA_SPEC, nonzero as u != w
@@ -469,13 +464,13 @@ def gw_invariant(
     substitution.
     """
     if d > min(m, n - m) or d < 0:
-        return YPoly()
+        return YPoly.zero()
     ls = partition_to_string(lam, m, n)
     ms = partition_to_string(mu, m, n)
     ns = partition_to_string(nu, m, n)
     nd = dual_partition_string(ns)
     if not (contains_rect(ls, d) and contains_rect(ms, d) and contains_rect(nd, d)):
-        return YPoly()
+        return YPoly.zero()
     wt = tuple(reversed(jd_map(nd, d)))
     return constant_fn(jd_map(ls, d), jd_map(ms, d), wt)
 
@@ -502,7 +497,7 @@ def quantum_product(
         def constant_fn(u: String012, v: String012, w: String012) -> YPoly:
             if (u, v) not in expansions:
                 expansions[(u, v)] = product_expansion(u, v)
-            return expansions[(u, v)].get(w, YPoly())
+            return expansions[(u, v)].get(w, YPoly.zero())
 
     out: dict[tuple[int, tuple[int, ...]], YPoly] = {}
     for d in range(min(m, n - m) + 1):

@@ -45,7 +45,7 @@ def oracle_constant(u: String012, v: String012, w: String012) -> YPoly:
     if type_u != content(v) or type_u != content(w):
         raise ValueError("mismatched string types")
     if length(u) + length(v) - length(w) < 0:
-        return YPoly()
+        return YPoly.zero()
     if u == w and v == w:
         return extreme_constant(w)
     if u == w:
@@ -54,7 +54,7 @@ def oracle_constant(u: String012, v: String012, w: String012) -> YPoly:
     parts = [(c.delta_spec(), (u, v, c.before)) for c in cocovers(w)]
     parts += [(-c.delta_spec(), (c.after, v, w)) for c in covers(u)]
     for k, triple in parts:
-        for m, coeff in oracle_constant(*triple).terms.items():
+        for m, coeff in oracle_constant(*triple).tuple_terms().items():
             terms[m] = terms.get(m, 0) + k * coeff
     rhs = YPoly(terms)
     if not rhs:

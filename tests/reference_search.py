@@ -184,7 +184,7 @@ def _enumerate(
 
 def structure_constant(u: String012, v: String012, w: String012) -> YPoly:
     """Sum of weights over the puzzles this reference lists."""
-    out = YPoly()
+    out = YPoly.zero()
     for P in enumerate_puzzles(u, v, w):
         out = out + P.weight()
     return out

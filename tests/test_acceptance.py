@@ -6,8 +6,9 @@ and 8 run the ``twostep verify`` suites, the one implementation of each
 sweep.  Criteria 1, 2 and 4 keep the constants they compute, and
 criterion 3 leaves every ``n <= 4`` oracle constant cached, so
 criterion 9 (Graham positivity) can re-examine them without
-recomputation.  A resource guard follows the ten: the largest
-``Gr(4,8)`` quantum product in time and memory bounds.
+recomputation.  Two resource guards follow the ten: the largest
+``Gr(4,8)`` quantum product and one ``Gr(4,9)`` product, in time and
+memory bounds.
 """
 
 import json
@@ -278,22 +279,22 @@ def test_10_sliding_bijection():
         assert len(domain) == len(codomain) == 471
 
 
-def test_gr48_worst_case_resources():
-    # the largest Gr(4,8) quantum product, lambda = mu = (4,3,2,1).  A
-    # child's peak resident set counts its parent's memory at the fork,
-    # so a small interpreter runs the product in a grandchild and
-    # reports the peak of its children, in kB
+def _grandchild_run(argv, seconds):
+    """Run ``twostep ARGV`` within ``seconds``; return the sha256 of its
+    stdout and its peak resident set in MB.  A child's peak resident set
+    counts its parent's memory at the fork, so a small interpreter runs
+    the command in a grandchild and reports the peak of its children."""
     import twostep
 
     src = str(pathlib.Path(twostep.__file__).parents[1])
-    argv = ["quantum", "--m", "4", "--n", "8", "--lambda", "4,3,2,1", "--mu", "4,3,2,1"]
     script = (
-        "import resource, subprocess, sys\n"
-        "subprocess.run([sys.executable, '-m', 'twostep.cli', *sys.argv[1:]],"
-        " check=True, stdout=subprocess.DEVNULL)\n"
+        "import hashlib, resource, subprocess, sys\n"
+        "done = subprocess.run([sys.executable, '-m', 'twostep.cli', *sys.argv[1:]],"
+        " check=True, capture_output=True)\n"
+        "print(hashlib.sha256(done.stdout).hexdigest())\n"
         "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
     )
-    with Budget(3):
+    with Budget(seconds):
         done = subprocess.run(
             [sys.executable, "-c", script, *argv],
             capture_output=True,
@@ -301,5 +302,23 @@ def test_gr48_worst_case_resources():
             timeout=120,
         )
     assert done.returncode == 0, done.stderr
-    peak_mb = int(done.stdout) / 1024
+    sha256, peak_kb = done.stdout.split()
+    return sha256.decode(), int(peak_kb) / 1024
+
+
+def test_gr48_worst_case_resources():
+    # the largest Gr(4,8) quantum product, lambda = mu = (4,3,2,1)
+    argv = ["quantum", "--m", "4", "--n", "8", "--lambda", "4,3,2,1", "--mu", "4,3,2,1"]
+    _, peak_mb = _grandchild_run(argv, 3)
     assert peak_mb < 100, f"peak RSS {peak_mb:.0f} MB"
+
+
+def test_gr49_worst_case_resources():
+    # lambda = mu = (5,4,3,2) in Gr(4,9): 4.3 s and 279 MB with packed
+    # monomials, 10.1 s and 433 MB with exponent tuples; the budget
+    # allows for a host that slows by up to 1.7 times.  The digest of
+    # stdout was recorded with exponent tuples.
+    argv = ["quantum", "--m", "4", "--n", "9", "--lambda", "5,4,3,2", "--mu", "5,4,3,2"]
+    sha256, peak_mb = _grandchild_run(argv, 12)
+    assert sha256 == "3d7aa10433d1d6acc697310f2fb5788869053b128902d5517a11511791cf84f7"
+    assert peak_mb < 350, f"peak RSS {peak_mb:.0f} MB"

@@ -1,12 +1,14 @@
 """Unit and property tests for the exact arithmetic layer."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twostep.algebra import (
+    ExponentOverflow,
     NotDivisible,
     NotInDifferenceRing,
     Tower,
@@ -19,6 +21,7 @@ from twostep.algebra import (
 )
 from twostep.strings import length
 
+import reference_algebra as ref
 from reference_algebra import Cyc12, zeta_pow
 from reference_algebra import Tower as RefTower
 
@@ -28,14 +31,19 @@ small_int = st.integers(-5, 5)
 
 
 @st.composite
-def ypolys(draw, max_terms=4, max_var=4, max_exp=3):
+def ypoly_terms(draw, max_terms=4, max_var=4, max_exp=3):
+    """An ``exponent tuple -> int`` map, with unstripped monomials."""
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
         mono = tuple(
             draw(st.integers(0, max_exp)) for _ in range(draw(st.integers(0, max_var)))
         )
         terms[mono] = draw(small_int)
-    return YPoly(terms)
+    return terms
+
+
+def ypolys(**kwargs):
+    return ypoly_terms(**kwargs).map(YPoly)
 
 
 class TestCyc12:
@@ -74,7 +82,7 @@ class TestYPoly:
         assert p * q == q * p
         assert (p * q) * r == p * (q * r)
         assert p * (q + r) == p * q + p * r
-        assert p - p == YPoly()
+        assert p - p == YPoly.zero()
 
     @given(ypolys(), ypolys())
     def test_degree_of_product(self, p, q):
@@ -86,7 +94,7 @@ class TestYPoly:
             YPoly({(1,): 1.5})
 
     def test_format_examples(self):
-        assert format_poly(YPoly()) == "0"
+        assert format_poly(YPoly.zero()) == "0"
         assert format_poly(YPoly.const(1)) == "1"
         assert format_poly(y(4) - y(1)) == "-1*y1 + 1*y4"
 
@@ -107,9 +115,10 @@ class TestYPoly:
     @given(ypolys(), ypolys(), st.integers(-3, 3))
     def test_results_are_canonical(self, p, q, k):
         for r in (p + q, p - q, p * q, -p, k * p, p * k):
-            assert all(r.terms.values())
-            assert all(m[-1] for m in r.terms if m)
-            rebuilt = YPoly(dict(r.terms))
+            terms = r.tuple_terms()
+            assert all(terms.values())
+            assert all(m[-1] for m in terms if m)
+            rebuilt = YPoly(terms)
             assert r == rebuilt and hash(r) == hash(rebuilt)
 
     @settings(derandomize=True)
@@ -129,7 +138,180 @@ class TestYPoly:
 
     def test_substitute(self):
         p = (y(1) - y(2)) * y(3)
-        assert p.substitute({1: y(2)}) == YPoly()
+        assert p.substitute({1: y(2)}) == YPoly.zero()
+
+
+def _both(terms):
+    """The library ``YPoly`` and the reference one built from ``terms``."""
+    return YPoly(terms), ref.YPoly(terms)
+
+
+def _same_poly(new, old):
+    assert new.tuple_terms() == old.terms
+    assert format_poly(new) == ref.format_poly(old)
+
+
+def _outcome(f, *args):
+    """``f(*args)``, or the type and text of the arithmetic error it raises."""
+    try:
+        return f(*args)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+class TestYPolyMatchesReference:
+    """The packed ``YPoly`` against the exponent-tuple reference."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(ypoly_terms(max_exp=40), ypoly_terms(max_exp=40), small_int, st.integers(0, 3))
+    def test_operations(self, s, t, n, k):
+        a, ra = _both(s)
+        b, rb = _both(t)
+        for new, old in [
+            (a, ra),
+            (a + b, ra + rb),
+            (a - b, ra - rb),
+            (-a, -ra),
+            (a * b, ra * rb),
+            (a * n, ra * n),
+            (n * a, n * ra),
+            (a + n, ra + n),
+            (n + a, n + ra),
+            (a - n, ra - n),
+            (n - a, n - ra),
+            (a**k, ra**k),
+        ]:
+            _same_poly(new, old)
+        assert repr(a) == repr(ra)
+        assert eval(repr(a), {"YPoly": YPoly}) == a
+        assert (a == n) == (ra == n)
+        for x, x2, r, r2 in [(a, b, ra, rb), ((a + b) - b, a, (ra + rb) - rb, ra)]:
+            assert (x == x2) == (r == r2)
+            if x == x2:
+                assert hash(x) == hash(x2)
+        assert bool(a) == bool(ra)
+        assert (a.degree(), a.nvars(), a.is_homogeneous()) == (
+            ra.degree(),
+            ra.nvars(),
+            ra.is_homogeneous(),
+        )
+        for m in [*s, *t, ()]:
+            assert a.coeff(m) == ra.coeff(m)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        ypoly_terms(max_var=5, max_exp=20),
+        ypoly_terms(max_var=5, max_exp=20),
+        # C_u - C_w at the delta specialization has coefficients in -2..2
+        st.lists(st.integers(-2, 2), min_size=1, max_size=5).filter(any),
+    )
+    def test_exact_divide(self, s, t, coeffs):
+        l, rl = _both({(0,) * i + (1,): c for i, c in enumerate(coeffs)})
+        a, ra = _both(s)
+        b, rb = _both(t)
+        for p, rp in [(a, ra), (a * l, ra * rl), (a * l + b, ra * rl + rb)]:
+            new, old = _outcome(exact_divide, p, l), _outcome(ref.exact_divide, rp, rl)
+            if isinstance(old, ref.YPoly):
+                _same_poly(new, old)
+            else:
+                assert new == old
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(ypoly_terms(), st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=4))
+    def test_graham_decompose(self, s, pairs):
+        # a random polynomial is mostly outside the difference ring; a
+        # product of differences is inside it
+        d, rd = _both({(): 1})
+        for i, j in pairs:
+            d, rd = d * (y(j) - y(i)), rd * (ref.y(j) - ref.y(i))
+        a, ra = _both(s)
+        for p, rp in [(a, ra), (d, rd), (d * a, rd * ra)]:
+            assert _outcome(graham_decompose, p) == _outcome(ref.graham_decompose, rp)
+
+
+class TestExponentLimits:
+    """An exponent past its packed field is an error, never a wrap into
+    the next field."""
+
+    @settings(derandomize=True, max_examples=200)
+    @given(
+        st.lists(st.integers(0, 127), max_size=4),
+        st.lists(st.integers(0, 127), max_size=4),
+        st.integers(0, 3),
+    )
+    def test_product_is_exact_or_raises(self, m1, m2, e):
+        (a, ra), (b, rb) = _both({tuple(m1): 2}), _both({tuple(m2): -3})
+        ta = Tower.from_ypoly(a) * Tower.zeta(e)
+        rab = ra * rb
+        if all(x <= 127 for m in rab.terms for x in m):
+            _same_poly(a * b, rab)
+            assert ta * Tower.from_ypoly(b) == Tower.from_ypoly(a * b) * Tower.zeta(e)
+        else:
+            with pytest.raises(ExponentOverflow):
+                a * b
+            with pytest.raises(ExponentOverflow):
+                ta * Tower.from_ypoly(b)
+
+    def test_constructor(self):
+        assert YPoly({(0, 127): 1}).tuple_terms() == {(0, 127): 1}
+        with pytest.raises(ExponentOverflow):
+            YPoly({(0, 128): 1})
+        with pytest.raises(ExponentOverflow):
+            Tower({(None, (128,), 0): 1})
+
+    def test_product(self):
+        top = y(2) ** 127
+        assert (y(1) * top * y(3)).tuple_terms() == {(1, 127, 1): 1}
+        with pytest.raises(ExponentOverflow):
+            top * y(2)
+        with pytest.raises(ExponentOverflow):
+            y(2) ** 64 * (y(1) + y(2) ** 64)
+
+    def test_power(self):
+        assert (y(3) ** 127).tuple_terms() == {(0, 0, 127): 1}
+        assert (y(1) + y(2)) ** 127 == sum(
+            math.comb(127, i) * y(1) ** i * y(2) ** (127 - i) for i in range(128)
+        )
+        with pytest.raises(ExponentOverflow):
+            y(3) ** 128
+        with pytest.raises(ExponentOverflow):
+            (y(1) ** 2 + y(2)) ** 64
+
+    def test_tower_product(self):
+        a = Tower.from_ypoly(y(4) ** 100) * Tower.zeta(5)
+        assert (a * Tower.from_ypoly(y(4) ** 27)).tuple_terms() == {
+            (None, (0, 0, 0, 127), 1): -1,
+            (None, (0, 0, 0, 127), 3): 1,
+        }
+        with pytest.raises(ExponentOverflow):
+            a * Tower.from_ypoly(y(4) ** 28)
+        with pytest.raises(ExponentOverflow):
+            Tower.from_ypoly(y(4) ** 28) * a
+
+    def test_negative_exponent(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            YPoly({(1, -1): 1})
+        with pytest.raises(ValueError, match="negative exponent"):
+            Tower({(None, (0, -2), 0): 1})
+
+    def test_variable_past_the_width(self):
+        assert y(64).nvars() == 64
+        with pytest.raises(ValueError, match="variables are y1 .. y64"):
+            y(65)
+        with pytest.raises(ValueError, match="y65 is past y64"):
+            YPoly({(0,) * 64 + (1,): 1})
+        # trailing zeros past the width are no variable
+        assert YPoly({(1,) + (0,) * 100: 2}) == 2 * y(1)
+
+    def test_exact_divide_at_the_limit(self):
+        l = y(2) - y(1)
+        assert exact_divide(l * y(2) ** 126, l) == y(2) ** 126
+        # the partial remainder y1^128 is exact and nonzero, not a carry
+        p = y(1) ** 127 * y(2)
+        with pytest.raises(NotDivisible, match="nonzero remainder"):
+            exact_divide(p, l)
+        with pytest.raises(NotDivisible, match="nonzero remainder"):
+            ref.exact_divide(ref.YPoly({(127, 1): 1}), ref.y(2) - ref.y(1))
 
 
 def test_length_is_inversion_count():
@@ -143,7 +325,7 @@ class TestGraham:
     def test_decompose_recombines(self):
         p = (y(5) + y(4) - y(3) - y(1)) * (y(4) - y(1))
         dec = graham_decompose(p)
-        total = YPoly()
+        total = YPoly.zero()
         for mono, c in dec.items():
             term = YPoly.const(c)
             for i, e in enumerate(mono):
@@ -200,7 +382,7 @@ def _regrouped(terms):
 
 
 def _assert_canonical(t):
-    for (dk, m, e), c in t.terms.items():
+    for (dk, m, e), c in t.tuple_terms().items():
         assert dk in (None, 0, 1, 2)
         assert e in (0, 1, 2, 3)
         assert type(c) is int and c != 0
@@ -273,8 +455,8 @@ class TestTowerMatchesReference:
     @given(tower_terms())
     def test_repr_is_the_flat_constructor(self, s):
         t = Tower(s)
-        assert Tower(t.terms) == t
-        assert repr(t) == f"Tower({t.terms!r})"
+        assert Tower(t.tuple_terms()) == t
+        assert repr(t) == f"Tower({t.tuple_terms()!r})"
         assert eval(repr(t), {"Tower": Tower}) == t
 
     def test_rejects_unknown_delta_key(self):

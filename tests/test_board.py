@@ -62,7 +62,7 @@ def test_edge_weights():
     assert edge_weight(("B", 2, 3), n) == y(3)
     assert edge_weight(("A", 1, 2), n) == y(n - 2 + 1)
     assert edge_weight(("H", 0, n - 1), n) == y(1)  # bottom border
-    assert edge_weight(("H", 0, 1), n) == YPoly()  # interior horizontal
+    assert edge_weight(("H", 0, 1), n) == YPoly.zero()  # interior horizontal
 
 
 def test_rhombus_position():

@@ -6,7 +6,9 @@ still exits 0 with one of these faults in place checks nothing of
 what the fault breaks.
 """
 
+import inspect
 import json
+import textwrap
 
 import pytest
 
@@ -16,6 +18,17 @@ from twostep.board import rhombus_position
 from twostep.labels import tables
 from twostep.strings import covers
 
+
+def source_mutant(func, old, new):
+    """``func`` recompiled from its source with the one occurrence of
+    ``old`` replaced by ``new``, in its own module's namespace."""
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, old
+    scope = {}
+    exec(source.replace(old, new), func.__globals__, scope)
+    return scope[func.__name__]
+
+
 AURA = ["verify", "--suite", "aura", "--max-n", "3"]
 MUTATION = ["verify", "--suite", "mutation", "--max-n", "3"]
 ORACLE = ["verify", "--suite", "oracle", "--max-n", "3"]
@@ -24,6 +37,10 @@ GASHES = ["verify", "--suite", "gashes"]
 ZETA_SIX_IS_ONE = algebra._ZETA_REDUCE[:6] + (((0, 1),),)  # the reduction table for zeta^6 = +1
 OUT_UP_SWAPPED = (mutation.OUT_UP[1], mutation.OUT_UP[0], *mutation.OUT_UP[2:])
 WALK = search._walk
+# the quotient monomial lowered in the field below the pivot's
+DIVIDE_LOWERS_WRONG_FIELD = source_mutant(
+    algebra.exact_divide, "qm = m - pivot", "qm = m - (pivot >> 8)"
+)
 
 # (name, object, attribute, faulty replacement, argv of the check that must exit 1)
 MUTANTS = [
@@ -36,6 +53,7 @@ MUTANTS = [
     ("gash-class-is-singleton", mutation, "gash_class", lambda g: frozenset({g}), GASHES),
     ("out-up-swapped", mutation, "OUT_UP", OUT_UP_SWAPPED, MUTATION),
     ("walk-drops-last", search, "_walk", lambda *key: iter(list(WALK(*key))[:-1]), ORACLE),
+    ("exact-divide-lowers-wrong-field", strings, "exact_divide", DIVIDE_LOWERS_WRONG_FIELD, ORACLE),
 ]
 
 
