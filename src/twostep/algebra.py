@@ -54,6 +54,7 @@ __all__ = [
     "graham_decompose",
     "is_graham_positive",
     "Tower",
+    "NVARS",
 ]
 
 
@@ -62,9 +63,9 @@ __all__ = [
 
 Mono = tuple[int, ...]  # exponent vector, trailing zeros stripped
 
-_NVARS = 64  # the variables y1 .. y64, one byte each
+NVARS = 64  # the variables y1 .. y64, one byte each
 _MAX_EXP = 127  # the top bit of each byte is its guard bit
-_GUARD = int.from_bytes(b"\x80" * _NVARS, "little")
+_GUARD = int.from_bytes(b"\x80" * NVARS, "little")
 _OVERFLOW = f"an exponent is over {_MAX_EXP}"
 
 
@@ -81,20 +82,20 @@ def _pack(mono: Iterable[int]) -> int:
         if e > _MAX_EXP:
             raise ExponentOverflow(f"exponent {e} of y{i + 1} is over {_MAX_EXP}")
         if e:
-            if i >= _NVARS:
-                raise ValueError(f"y{i + 1} is past y{_NVARS}")
+            if i >= NVARS:
+                raise ValueError(f"y{i + 1} is past y{NVARS}")
             key |= e << (8 * i)
     return key
 
 
 def _unpack(key: int) -> Mono:
     """The exponent vector of the packed key ``key``."""
-    return tuple(key.to_bytes(_NVARS, "little").rstrip(b"\0"))
+    return tuple(key.to_bytes(NVARS, "little").rstrip(b"\0"))
 
 
 def _degree(key: int) -> int:
     """The total degree of the packed key ``key``."""
-    return sum(key.to_bytes(_NVARS, "little"))
+    return sum(key.to_bytes(NVARS, "little"))
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +177,9 @@ class YPoly:
         return isinstance(other, YPoly) and self.terms == other.terms
 
     def __hash__(self) -> int:
+        # a constant hashes like the int it equals
+        if self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self) -> "YPoly":
@@ -271,8 +275,8 @@ def y(i: int) -> YPoly:
     >>> str(y(2))
     '1*y2'
     """
-    if not 1 <= i <= _NVARS:
-        raise ValueError(f"variables are y1 .. y{_NVARS}")
+    if not 1 <= i <= NVARS:
+        raise ValueError(f"variables are y1 .. y{NVARS}")
     return YPoly._canonical({1 << (8 * (i - 1)): 1})
 
 

@@ -39,7 +39,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from .algebra import YPoly, y
 from .labels import SIMPLE, dual_label, tables
@@ -144,39 +145,29 @@ class InvariantViolation(RuntimeError):
     break an assumption of the mutation theory."""
 
 
-class _Labels(dict):
-    """A puzzle's labels: a ``dict`` whose every write raises
-    ``TypeError``, since listed puzzles are shared by every caller (see
-    ``search``).  ``dict(P.labels)`` is a copy to edit."""
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("puzzle labels are read-only; edit a copy, dict(P.labels)")
-
-    __setitem__ = __delitem__ = __ior__ = _read_only
-    clear = pop = popitem = setdefault = update = _read_only
-
-
 @dataclass(frozen=True)
 class Puzzle:
     """A puzzle on the size-``n`` triangle.
 
     ``labels`` maps edges to labels (edges interior to a rhombus are
-    omitted) and is read-only; ``rhombi`` is the set of rhombus
-    occurrences.  ``key`` (size, sorted labels, sorted rhombi) is the
-    puzzle's identity: equality and hashing compare it alone, here and
-    in the gashed and flawed puzzles built on a ``Puzzle``.
+    omitted).  It is a read-only view of the puzzle's own copy, since
+    listed puzzles are shared by every caller (see ``search``);
+    ``P.labels.copy()`` is a ``dict`` to edit.  ``rhombi`` is the set of
+    rhombus occurrences.  ``key`` (size, sorted labels, sorted rhombi) is
+    the puzzle's identity: equality and hashing compare it alone, here
+    and in the gashed and flawed puzzles built on a ``Puzzle``.
     """
 
     n: int = field(compare=False)
-    labels: dict[Edge, int] = field(compare=False)
+    labels: Mapping[Edge, int] = field(compare=False)
     rhombi: frozenset[Rhombus] = field(default=frozenset(), compare=False)
     key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        labels = _Labels(self.labels)
+        labels = dict(self.labels)
         for r in self.rhombi:
-            dict.pop(labels, rhombus_inner_edge(r), None)
-        object.__setattr__(self, "labels", labels)
+            labels.pop(rhombus_inner_edge(r), None)
+        object.__setattr__(self, "labels", MappingProxyType(labels))
         key = (self.n, tuple(sorted(labels.items())), tuple(sorted(self.rhombi)))
         object.__setattr__(self, "key", key)
 

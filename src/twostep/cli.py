@@ -28,7 +28,7 @@ import os
 import sys
 from typing import Sequence
 
-from .algebra import Tower, format_poly
+from .algebra import NVARS, Tower, format_poly
 from .board import puzzle_from_json, render_svg, render_text
 from .labels import load_tables, tables
 from .strings import (
@@ -56,9 +56,12 @@ def _parse_string(text: str) -> String012:
     if not text:
         raise InputError("empty 012-string")
     try:
-        return parse(text)
+        s = parse(text)
     except (ValueError, TypeError) as e:
         raise InputError(str(e))
+    if len(s) > NVARS:
+        raise InputError(f"012-string of length {len(s)}: the variables are y1 .. y{NVARS}")
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +205,8 @@ def _cmd_quantum(args) -> int:
     m, n = args.m, args.n
     if not 0 < m < n:
         raise InputError("need 0 < m < n")
+    if n > NVARS:
+        raise InputError(f"--n {n}: the variables are y1 .. y{NVARS}")
     lam = _parse_partition(args.lam, m, n)
     mu = _parse_partition(args.mu, m, n)
     terms = quantum_product(lam, mu, m, n)
@@ -301,7 +306,9 @@ def _suite_mutation(max_n: int) -> list[dict]:
         bad = []
         count = 0
         for u, v, w in itertools.product(all_strings(a, b, n), repeat=3):
-            for P in enumerate_flawed(u, v, w):
+            flawed = list(enumerate_flawed(u, v, w))
+            listed = set(flawed)
+            for P in flawed:
                 count += 1
                 D = dual_flawed(P)
                 if D.validate() or dual_flawed(D) != P:
@@ -312,6 +319,9 @@ def _suite_mutation(max_n: int) -> list[dict]:
                     if Q.boundary() != P.boundary() or Q.validate():
                         bad.append((fmt(u), fmt(v), fmt(w), "flaw"))
                         continue
+                    # phi fixes the boundary, so Q is one of its listed flaws
+                    if Q not in listed:
+                        bad.append((fmt(u), fmt(v), fmt(w), "unlisted"))
                     back = phi(G)
                     if back != R or recognize_flaw(back) != P:
                         bad.append((fmt(u), fmt(v), fmt(w), "involution"))

@@ -21,8 +21,7 @@ the two tables and every table derived from them (lookup indices, the
 step moves of the row-state engine, whose only special pieces are the
 temporary pieces, the ``replacements`` that move a gash across a
 triangle, gash classes, temporary-piece and scab tables, sliding gash
-sets, auras), each computed once per table value on first use, and the
-engine's bounded memo of puzzle listings.
+sets, auras), each computed once per table value on first use.
 :func:`validate_tables` gates everything downstream: it re-checks the
 counts, the one-replacement lemma behind gash propagation, label
 coverage, uniqueness of completion from two known sides, and the
@@ -35,7 +34,6 @@ derived tables.
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -92,7 +90,7 @@ Triple = tuple[int, int, int]
 AbstractGash = tuple[int, int, int]  # (direction d, original label, new label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PieceTables:
     """The canonical triangle and rhombus tables and every table derived
     from them.
@@ -101,6 +99,8 @@ class PieceTables:
     triples; ``up_triangles`` is the rotation closure, i.e. all valid
     ``(left, right, horizontal)`` triples for a right-side-up cell.  The
     other derived tables are computed on first use and kept on the value.
+    A value equals only itself, so a memo keyed on it (``search``'s
+    listings) shares nothing with another value, even an identical one.
     """
 
     triangles: tuple[Triple, ...]
@@ -172,14 +172,6 @@ class PieceTables:
         special pieces are the temporary pieces: one table, kept on this
         value and shared by every pass that reads it."""
         return _StepMoves(self)
-
-    @cached_property
-    def listings(self) -> OrderedDict[tuple, tuple]:
-        """The complete puzzle listings of the row-state engine, by
-        ``(u, v, w, need)``, oldest use first: a bounded memo that
-        ``search`` fills, reads and trims, kept on this value so that no
-        other table value sees it."""
-        return OrderedDict()
 
     # -- gash propagation ----------------------------------------------------
 

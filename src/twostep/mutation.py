@@ -69,7 +69,6 @@ __all__ = [
     "immediate_moves",
     "gash_class",
     "opposite",
-    "rotate_gash",
     "temporary_table",
     "down_temporary_table",
     "scab_table",
@@ -153,12 +152,6 @@ def opposite(g: AbstractGash) -> AbstractGash:
     """
     d, a, b = g
     return (d, b, a)
-
-
-def rotate_gash(g: AbstractGash, k: int) -> AbstractGash:
-    """Rotate by ``k`` sixth-turns counterclockwise."""
-    d, a, b = g
-    return ((d + k) % 6, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +296,7 @@ def propagate_full(
     if g not in G.gashes:
         raise ValueError(f"gash {g} is not in this gashed puzzle")
     B, t = G.base, tables()
-    labels = dict(B.labels)
+    labels = B.labels.copy()
     blocked = {h.edge for h in G.gashes if h != g}
     path, f = [g.edge], g
     while (moved := _step(B, labels, f, blocked, t)) is not None:
@@ -448,7 +441,7 @@ class FlawedPuzzle:
         n, rhombi = self.base.n, self.base.rhombi
         if self.flaw_type == "gashpair":
             border, positions = self.flaw[1]
-            labels = dict(self.base.labels)
+            labels = self.base.labels.copy()
             gashes = set()
             for i, outer in positions:
                 edge, d = _border_edge(border, i, n)
@@ -463,7 +456,7 @@ class FlawedPuzzle:
             res = []
             for k in range(3):
                 r = table[t][k]
-                labels = dict(self.base.labels)
+                labels = self.base.labels.copy()
                 gashes = set()
                 for s in range(3):
                     if s == k:
@@ -474,7 +467,7 @@ class FlawedPuzzle:
             return res
         if self.flaw_type == "scab":
             x, yy = self.flaw[1]
-            labels = dict(self.base.labels)
+            labels = self.base.labels.copy()
             side, (p, q) = scab_table()[_scab_at(labels, x, yy)]
             nw_e, ne_e, se_e, sw_e = _scab_edges(x, yy)
             if side == "L":  # agrees on NW/SW; gashes on NE and SE
@@ -522,7 +515,7 @@ def recognize_flaw(G: GashedPuzzle) -> FlawedPuzzle:
     B = G.base
     n = B.n
     # the inner labels: each gash edge gets the label it points at
-    labels = dict(B.labels)
+    labels = B.labels.copy()
     labels[g1.edge] = g1.orig
     labels[g2.edge] = g2.orig
     b1 = _border_position(g1.edge, g1.d, n)

@@ -30,16 +30,14 @@ built once per piece-table value and shared by every call:
 
 A sweep lists each triple's neighbours too (a gash-pair flaw is a
 puzzle of a neighbouring boundary, and the aura recursion reads their
-constants), so complete listings are memoised in
-``PieceTables.listings``, owned by the table value like the step moves:
-a new table value starts with an empty memo.  It maps ``(u, v, w,
-need)`` to the tuple of ``(puzzle, cell)`` pairs in walk order and holds
-the ``_LISTINGS_CAPACITY`` most recently used listings.  A miss streams
-the walk, handing out each puzzle as it is built and validated, and
-stores the tuple only when the walk is exhausted; a listing abandoned
-or failing part-way stores nothing.  Listed puzzles are shared by every
-caller, so their labels are read-only (``board.Puzzle``).  Weights are
-not memoised.
+constants), so ``_listing`` is an ``lru_cache`` of the 64 most recently
+used listings.  It is keyed on the piece-table value, compared by
+identity, so a new table value starts with no entries.  A listing is the
+complete tuple of ``(puzzle, cell)`` pairs in walk order, each plain
+puzzle validated: a walk that raises stores nothing, and on a miss the
+walk finishes before the first puzzle is handed out.  Listed puzzles are
+shared by every caller, so their labels are read-only
+(``board.Puzzle``).  Weights are not memoised.
 
 >>> from .strings import parse, fmt, extreme_constant
 >>> w = parse("120")
@@ -53,7 +51,8 @@ True
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, Iterator
+from functools import lru_cache
+from typing import Collection, Iterator
 
 from .algebra import YPoly, y
 from .board import Edge, InvariantViolation, Puzzle, rhombus_position
@@ -68,14 +67,9 @@ __all__ = [
 ]
 
 
-# complete listings kept in ``PieceTables.listings``, least recently
-# used dropped first
-_LISTINGS_CAPACITY = 64
-
-
 def enumerate_puzzles(u: String012, v: String012, w: String012) -> Iterator[Puzzle]:
     """Yield all puzzles with boundary ``(u, v, w)`` in deterministic order."""
-    for P, _ in _listing(u, v, w, False):
+    for P, _ in _listing(tables(), u, v, w, False):
         yield P
 
 
@@ -87,37 +81,19 @@ def enumerate_one_special(
     holds a temporary piece: a key of ``PieceTables.temporaries`` (as
     ``(left, right, bottom)``) or of ``down_temporaries`` (as ``(nw, ne,
     top)``)."""
-    yield from _listing(u, v, w, True)
+    yield from _listing(tables(), u, v, w, True)
 
 
-def _listing(u: String012, v: String012, w: String012, need: bool) -> Iterable[tuple]:
-    """The tilings that ``_walk`` lists for ``(u, v, w, need)``, with
-    their cells: the memoised tuple, or else the walk, stored once it is
-    complete."""
-    t = tables()
-    key = (u, v, w, need)
-    done = t.listings.get(key)
-    if done is None:
-        return _walk_and_store(t, key)
-    t.listings.move_to_end(key)
-    return done
-
-
-def _walk_and_store(t: PieceTables, key: tuple) -> Iterator[tuple]:
-    """Stream the walk of ``key``, validating each plain puzzle before it
-    is handed out, and store the listing in ``t.listings`` once the walk
-    is exhausted."""
-    need = key[3]
+@lru_cache(maxsize=64)
+def _listing(t: PieceTables, u: String012, v: String012, w: String012, need: bool) -> tuple:
+    """The tilings that ``_walk`` lists for ``(u, v, w, need)`` with the
+    step moves of ``t``, with their cells, each plain puzzle validated."""
     out = []
-    for P, cell in _walk(*key, t.step_moves):
+    for P, cell in _walk(u, v, w, need, t.step_moves):
         if not need and (problems := P.validate()):
             raise InvariantViolation(f"built an invalid puzzle: {problems}")
         out.append((P, cell))
-        yield P, cell
-    memo = t.listings
-    memo[key] = tuple(out)
-    if len(memo) > _LISTINGS_CAPACITY:
-        memo.popitem(last=False)
+    return tuple(out)
 
 
 def _walk(

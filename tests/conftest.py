@@ -12,6 +12,13 @@ def all_triples(a, b, n):
     return itertools.product(all_strings(a, b, n), repeat=3)
 
 
+def rotate_gash(g, k):
+    """The directed gash ``g = (d, a, b)`` rotated by ``k`` sixth-turns
+    counterclockwise."""
+    d, a, b = g
+    return ((d + k) % 6, a, b)
+
+
 def table_text():
     """The packaged piece-table fixture, to copy or corrupt."""
     return resources.files("twostep").joinpath("data/piece_tables.txt").read_text("utf-8")

@@ -19,7 +19,7 @@ import sys
 import time
 from collections import Counter
 
-from conftest import all_triples
+from conftest import all_triples, rotate_gash
 
 from twostep.algebra import YPoly, is_graham_positive, y
 from twostep.cli import main
@@ -36,7 +36,6 @@ from twostep.mutation import (
     opposite,
     psi_infinity,
     right_gash,
-    rotate_gash,
     scab_table,
     temporary_table,
 )

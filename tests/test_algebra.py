@@ -93,6 +93,15 @@ class TestYPoly:
         with pytest.raises(TypeError, match="YPoly coefficient must be an int"):
             YPoly({(1,): 1.5})
 
+    def test_constants_hash_like_ints(self):
+        # a constant equals its int, so it must hash like it
+        for c in (0, 1, -1, 2**70):
+            assert YPoly.const(c) == c and hash(YPoly.const(c)) == hash(c)
+        assert hash(YPoly.zero()) == hash(0)
+        mixed = {0, YPoly.zero(), 1, YPoly.const(1), -1, YPoly.const(-1), y(1), y(1) + 0}
+        assert len(mixed) == 4
+        assert {2**70: "big"}[YPoly.const(2**70)] == "big"
+
     def test_format_examples(self):
         assert format_poly(YPoly.zero()) == "0"
         assert format_poly(YPoly.const(1)) == "1"

@@ -15,6 +15,7 @@ from conftest import table_text
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twostep.algebra import NVARS
 from twostep.board import puzzle_to_json
 from twostep.cli import main
 from twostep.mutation import enumerate_flawed, scab_positions
@@ -91,6 +92,29 @@ def test_empty_string_is_input_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "input error: empty 012-string\n"
+
+
+# one letter more than the variables y1 .. y64
+LONG_U = "1" + "0" * (NVARS - 1) + "2"
+LONG_W = "2" + "0" * NVARS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["product", "--u", LONG_U, "--v", LONG_U], id="product"),
+        pytest.param(["puzzles", "--u", LONG_W, "--v", LONG_W, "--w", LONG_W], id="puzzles"),
+        pytest.param(
+            ["quantum", "--m", "1", "--n", str(NVARS + 1), "--lambda", "1", "--mu", "1"],
+            id="quantum",
+        ),
+    ],
+)
+def test_past_the_variables_is_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ")
+    assert err.endswith(f"the variables are y1 .. y{NVARS}\n")
 
 
 def test_puzzles_output(capsys):

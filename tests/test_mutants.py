@@ -15,7 +15,6 @@ import pytest
 from twostep import algebra, board, cli, mutation, search, strings
 from twostep.algebra import Tower
 from twostep.board import rhombus_position
-from twostep.labels import tables
 from twostep.strings import covers
 
 
@@ -54,6 +53,8 @@ MUTANTS = [
     ("out-up-swapped", mutation, "OUT_UP", OUT_UP_SWAPPED, MUTATION),
     ("walk-drops-last", search, "_walk", lambda *key: iter(list(WALK(*key))[:-1]), ORACLE),
     ("exact-divide-lowers-wrong-field", strings, "exact_divide", DIVIDE_LOWERS_WRONG_FIELD, ORACLE),
+    ("one-special-lists-nothing", mutation, "enumerate_one_special", lambda *key: iter(()),
+     MUTATION),
 ]
 
 
@@ -64,13 +65,13 @@ def test_mutant_is_caught(monkeypatch, capsys, target, attr, fault, argv):
     # neither the oracle cache nor the listing memo may hold an entry
     # computed with a fault in place, or one that would hide the fault
     strings.oracle_constant.cache_clear()
-    tables().listings.clear()
+    search._listing.cache_clear()
     monkeypatch.setattr(target, attr, fault)
     try:
         assert cli.main(argv) == 1
     finally:
         strings.oracle_constant.cache_clear()
-        tables().listings.clear()
+        search._listing.cache_clear()
     out, err = capsys.readouterr()
     assert json.loads(out)["pass"] is False
     assert err == ""

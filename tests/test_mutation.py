@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 
 import reference_mutation
+from conftest import rotate_gash
 import twostep.mutation
 from twostep.board import InvariantViolation, Puzzle, puzzle_from_json
 from twostep.mutation import (
@@ -38,7 +39,6 @@ from twostep.mutation import (
     psi_infinity,
     recognize_flaw,
     right_gash,
-    rotate_gash,
     scab_positions,
     scab_table,
     temporary_table,

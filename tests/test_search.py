@@ -179,20 +179,31 @@ def assert_lists_match_reference(u, v, w):
     assert listed(u, v, w) == reference_listed(u, v, w), (u, v, w)
 
 
+def memo_holds(t, *keys):
+    """Whether the listing memo holds each ``(u, v, w, need)`` of ``keys``
+    for the table value ``t``: asking for them all misses none.  Each
+    one asked for becomes the most recently used."""
+    misses = search._listing.cache_info().misses
+    for key in keys:
+        search._listing(t, *key)
+    return search._listing.cache_info().misses == misses
+
+
 def test_listing_matches_reference_up_to_4():
     # each triple is listed twice from an emptied memo: the walk, which
     # stores both listings, then the memo's copy
-    listings = tables().listings
+    t = tables()
     triples = [((), (), ())] + [
-        t
+        triple
         for a, b, n in contents_up_to(4)
-        for t in itertools.product(all_strings(a, b, n), repeat=3)
+        for triple in itertools.product(all_strings(a, b, n), repeat=3)
     ]
     for u, v, w in triples:
-        listings.clear()
+        search._listing.cache_clear()
         want = reference_listed(u, v, w)
         assert listed(u, v, w) == want, (u, v, w)
-        assert set(listings) == {(u, v, w, False), (u, v, w, True)}
+        assert search._listing.cache_info().currsize == 2
+        assert memo_holds(t, (u, v, w, False), (u, v, w, True))
         assert listed(u, v, w) == want, (u, v, w)
 
 
@@ -235,32 +246,37 @@ def test_one_special_tables_are_kept_apart():
 
 
 def test_step_moves_have_one_owner(monkeypatch, tmp_path):
-    # and so does the memo of listings
+    # and the memo of listings is kept apart by table value
     u, v, w = (parse(s) for s in HEAVY_TRIPLES[1])
+    keys = [(u, v, w, False), (u, v, w, True)]
     old = tables()
     assert old.step_moves is old.step_moves
-    assert old.listings is old.listings
     assert_lists_match_reference(u, v, w)
     filled = dict(old.step_moves)
-    listed_before = dict(old.listings)
     # both listings filled the table: plain and temporary-piece entries
     assert {key[-1] for key in filled} == {False, True}
-    assert {(u, v, w, False), (u, v, w, True)} <= set(listed_before)
+    assert memo_holds(old, *keys)
+    listed_before = [search._listing(old, *key) for key in keys]
 
     copy = tmp_path / "tables.txt"
     copy.write_text(table_text())
     monkeypatch.setenv("PUZZLE_TABLE_PATH", str(copy))
     new = tables()
     assert new is not old
+    assert new != old  # an identical file, but another value
     assert len(new.step_moves) == 0
-    assert len(new.listings) == 0
+    misses = search._listing.cache_info().misses
     assert_lists_match_reference(u, v, w)
+    # both listings were walked with the new value's moves, not served
+    # from the old value's entries
+    assert search._listing.cache_info().misses == misses + 2
     assert {key[-1] for key in new.step_moves} == {False, True}
-    assert set(new.listings) == {(u, v, w, False), (u, v, w, True)}
+    assert memo_holds(new, *keys)
     assert new.step_moves is not old.step_moves
     # the old value's tables saw none of the second listing
     assert old.step_moves == filled
-    assert old.listings == listed_before
+    assert memo_holds(old, *keys)
+    assert all(search._listing(old, *key) is L for key, L in zip(keys, listed_before))
 
 
 def test_empty_boundary():
@@ -269,47 +285,41 @@ def test_empty_boundary():
     assert list(enumerate_one_special((), (), ())) == []
 
 
-def test_listing_is_lazy(monkeypatch):
-    u, v, w = (parse(s) for s in HEAVY_TRIPLES[1])
-    tables().listings.clear()
-    built = []
-    build = search._build
-    monkeypatch.setattr(search, "_build", lambda *a: built.append(1) or build(*a))
-    first = next(iter(enumerate_puzzles(u, v, w)))
-    assert first.key == next(iter(reference_search.enumerate_puzzles(u, v, w))).key
-    # one of the nine puzzles is built before the first is handed out
-    assert len(built) == 1
-
-
 # -- the memo of complete listings ---------------------------------------------
 
 
 def test_listings_keep_the_most_recent():
-    capacity = search._LISTINGS_CAPACITY
+    capacity = search._listing.cache_info().maxsize
+    assert capacity == 64
     triples = list(itertools.product(all_strings(1, 2, 4), repeat=3))[: 2 * capacity]
-    listings = tables().listings
-    listings.clear()
+    t = tables()
+    search._listing.cache_clear()
     for u, v, w in triples:
         list(enumerate_puzzles(u, v, w))
-    assert len(listings) == capacity
-    assert list(listings) == [(*t, False) for t in triples[capacity:]]
+    assert search._listing.cache_info().currsize == capacity
+    # the last listed are kept; asked for in the order they were listed,
+    # they keep that order
+    assert memo_holds(t, *[(*triple, False) for triple in triples[capacity:]])
     # a hit makes its key the most recent, so the next miss drops another
     list(enumerate_puzzles(*triples[capacity]))
     list(enumerate_puzzles(*triples[0]))
-    assert len(listings) == capacity
-    assert list(listings)[-2:] == [(*triples[capacity], False), (*triples[0], False)]
-    assert (*triples[capacity + 1], False) not in listings
+    assert search._listing.cache_info().currsize == capacity
+    assert memo_holds(t, (*triples[capacity], False), (*triples[0], False))
+    assert not memo_holds(t, (*triples[capacity + 1], False))
 
 
 def test_listing_stores_only_when_complete(monkeypatch):
     u, v, w = (parse(s) for s in HEAVY_TRIPLES[1])
-    listings = tables().listings
-    listings.clear()
-    # abandoned after the first puzzle
+    search._listing.cache_clear()
+    # abandoned after the first puzzle: the walk finished before the
+    # first puzzle was handed out, so the stored listings are complete
     for listing in (enumerate_puzzles(u, v, w), enumerate_one_special(u, v, w)):
         next(listing)
         listing.close()
-    assert len(listings) == 0
+    assert search._listing.cache_info().currsize == 2
+    assert memo_holds(tables(), (u, v, w, False), (u, v, w, True))
+    assert listed(u, v, w) == reference_listed(u, v, w)
+    search._listing.cache_clear()
 
     # a walk that fails part-way
     build = search._build
@@ -324,7 +334,7 @@ def test_listing_stores_only_when_complete(monkeypatch):
     monkeypatch.setattr(search, "_build", fail_third)
     with pytest.raises(RuntimeError, match="^third build$"):
         list(enumerate_puzzles(u, v, w))
-    assert len(listings) == 0
+    assert search._listing.cache_info().currsize == 0
 
 
 def test_listed_puzzles_are_read_only():
@@ -343,15 +353,16 @@ def test_listed_puzzles_are_read_only():
         lambda L: L.setdefault(("H", 99, 99), 0),
         lambda L: L.update({e: 0}),
     ]
-    labels = dict(P.labels)
+    labels = P.labels.copy()
     for write in writes:
-        with pytest.raises(TypeError, match="read-only"):
+        with pytest.raises((TypeError, AttributeError)):
             write(P.labels)
     assert P.labels == labels
-    # a copy is an ordinary dict
-    copy = dict(P.labels)
-    copy[e] = 0
+    # a copy is an ordinary dict, and editing it leaves the puzzle alone
+    copy = P.labels.copy()
+    copy[e] += 1
     assert type(copy) is dict
+    assert P.labels == labels != copy
 
 
 def test_sweep_triple_walks_each_boundary_once(monkeypatch):
@@ -363,7 +374,7 @@ def test_sweep_triple_walks_each_boundary_once(monkeypatch):
     walks = []
     walk = search._walk
     monkeypatch.setattr(search, "_walk", lambda *args: walks.append(args[:4]) or walk(*args))
-    tables().listings.clear()
+    search._listing.cache_clear()
     flawed = list(enumerate_flawed(u, v, w))
     puzzles = list(enumerate_puzzles(u, v, w))
     assert check_two_sums(u, v, w)["pass"] and check_recursion(u, v, w)["pass"]

@@ -49,6 +49,45 @@ def test_oracle_is_the_only_unbounded_cache():
     assert found == ["strings.oracle_constant"]
 
 
+def _cache_bounds(func):
+    """The ``maxsize`` of each ``functools`` ``cache`` or ``lru_cache``
+    decorator of ``func``, bare, called or through ``functools.``; None
+    is unbounded.  ``cached_property`` keeps one value per instance and
+    is no such cache."""
+    for decorator in func.decorator_list:
+        call = isinstance(decorator, ast.Call)
+        name = decorator.func if call else decorator
+        name = name.attr if isinstance(name, ast.Attribute) else getattr(name, "id", None)
+        if name == "cache":
+            yield None
+        elif name == "lru_cache":
+            args = []
+            if call:
+                args = decorator.args + [k.value for k in decorator.keywords if k.arg == "maxsize"]
+            yield ast.literal_eval(args[0]) if args else 128  # lru_cache's default
+
+
+def test_every_cache_is_listed_with_its_bound():
+    # adding or resizing a memo is a visible decision
+    found = {}
+    for path in sorted(Path(twostep.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for bound in _cache_bounds(node):
+                    found[f"{path.stem}.{node.name}"] = bound
+    assert found == {
+        "labels._tables_cached": 4,
+        "search._listing": 64,
+        "strings.oracle_constant": None,
+    }
+    # as the running functions report them
+    for name, bound in found.items():
+        module, func = name.split(".")
+        cached = getattr(importlib.import_module(f"twostep.{module}"), func)
+        assert cached.cache_parameters()["maxsize"] == bound, name
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # public functions that only tests call, each kept for a stated reason
@@ -57,7 +96,6 @@ TEST_ONLY = {
     "psi_infinity": "acceptance criterion 10 (the sliding bijection)",
     "in_backward_set": "acceptance criterion 10 (the sliding bijection)",
     "chevalley": "the equivariant Chevalley rule, for a quantum suite",
-    "rotate_gash": "named in the benchmark tracer's UNTIMED list",
 }
 
 
