@@ -39,13 +39,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .algebra import Tower, YPoly, y
-from .board import (
-    Puzzle,
-    down_cell_edges,
-    edge_weight,
-    rhombus_position,
-    up_cell_edges,
-)
+from .board import Puzzle, cell_sides, edge_weight, rhombus_position
 from .labels import IN_DOWN, IN_UP, tables
 from .mutation import (
     AbstractGash,
@@ -134,14 +128,10 @@ def gamma_form(a: int, b: int, n: int) -> Tower:
 def piece_equivariant_aura(P: Puzzle, cell: tuple[str, int, int]) -> Tower:
     """Weight-scaled aura of a triangular piece: the sum over its sides
     of ``weight(e)`` times the edge aura, with labels moved inside the piece."""
-    kind, x, yy = cell
-    if kind == "U":
-        edges, ins = up_cell_edges(x, yy), IN_UP
-    else:
-        edges, ins = down_cell_edges(x, yy), IN_DOWN
+    ins = IN_UP if cell[0] == "U" else IN_DOWN
     table = tables().aura
     out = Tower.zero()
-    for e, d in zip(edges, ins):
+    for e, d in zip(cell_sides(cell), ins):
         out = out + Tower.from_ypoly(edge_weight(e, P.n)) * table[(d, P.labels[e])]
     return out
 

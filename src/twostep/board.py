@@ -1,5 +1,10 @@
 """Triangular-lattice geometry and puzzles.
 
+This module owns every decision about the triangle's geometry: the
+cells and their sides (``cell_sides``), the border edges and their
+inward directions (``border_edge``), and the walk over a tiling's
+pieces (``Puzzle.pieces``) that validation, JSON and SVG share.
+
 A size-``n`` puzzle fills the upward equilateral triangle with rows
 ``y = 0`` (apex) through ``n-1`` (bottom).  Row ``y`` holds up-cells
 ``U(x,y)`` for ``0 <= x <= y`` and down-cells ``D(x,y)`` for
@@ -42,7 +47,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .algebra import YPoly, y
+from .algebra import NVARS, YPoly, y
 from .labels import SIMPLE, dual_label, tables
 
 __all__ = [
@@ -89,6 +94,13 @@ def up_cell_edges(x: int, yy: int) -> tuple[Edge, Edge, Edge]:
 def down_cell_edges(x: int, yy: int) -> tuple[Edge, Edge, Edge]:
     """(nw, ne, top) edges of D(x,y)."""
     return (("B", x, yy), ("A", x + 1, yy), ("H", x, yy - 1))
+
+
+def cell_sides(cell: tuple[str, int, int]) -> tuple[Edge, Edge, Edge]:
+    """The sides of the cell ``("U"|"D", x, y)``: (left, right, bottom)
+    of an up-cell, (nw, ne, top) of a down-cell."""
+    kind, x, yy = cell
+    return up_cell_edges(x, yy) if kind == "U" else down_cell_edges(x, yy)
 
 
 def on_board(cell: tuple[str, int, int], n: int) -> bool:
@@ -140,6 +152,16 @@ def rhombus_position(x: int, yy: int, n: int) -> tuple[int, int]:
     return (x + 1, n - yy + x)
 
 
+def border_edge(border: str, i: int, n: int) -> tuple[Edge, int]:
+    """The edge at 1-based position ``i`` of border ``"u"``, ``"v"`` or
+    ``"w"``, and the direction of a gash there pointing into the puzzle."""
+    if border == "u":
+        return ("A", 0, n - i), 5
+    if border == "v":
+        return ("B", i - 1, i - 1), 3
+    return ("H", i - 1, n - 1), 1
+
+
 class InvariantViolation(RuntimeError):
     """A library invariant does not hold: a bug, or piece tables that
     break an assumption of the mutation theory."""
@@ -187,18 +209,38 @@ class Puzzle:
         return {rhombus_inner_edge(r) for r in self.rhombi}
 
     def boundary(self):
+        """The border strings ``(u, v, w)``: the labels at ``border_edge``
+        (spelled out here, as this is hot)."""
         n = self.n
         u = tuple(self.labels[("A", 0, n - i)] for i in range(1, n + 1))
         v = tuple(self.labels[("B", i - 1, i - 1)] for i in range(1, n + 1))
         w = tuple(self.labels[("H", i - 1, n - 1)] for i in range(1, n + 1))
         return (u, v, w)
 
+    def pieces(self) -> list[tuple[str, tuple[int, int], tuple[int, ...]]]:
+        """The tiling's pieces ``(kind, anchor, labels)`` in the
+        piece-list JSON order: the rhombi ``("R", (x, y), (p, q))``,
+        sorted; then the up-triangles ``("U", (x, y), (left, right,
+        bottom))`` and the down-triangles ``("D", (x, y), (nw, ne,
+        top))`` that no rhombus covers."""
+        labels = self.labels
+        out = []
+        for r in sorted(self.rhombi):
+            (p, _), (q, _) = rhombus_outer_edges(r)
+            out.append(("R", r, (labels[p], labels[q])))
+        ups, downs = self.covered_cells()
+        for kind, cells, covered in (("U", up_cells, ups), ("D", down_cells, downs)):
+            for cell in cells(self.n):
+                if cell not in covered:
+                    a, b, c = cell_sides((kind, *cell))
+                    out.append((kind, cell, (labels[a], labels[b], labels[c])))
+        return out
+
     def validate(self) -> list[str]:
         """Empty list iff the labeling is a valid puzzle."""
         t = tables()
         out: list[str] = []
         n = self.n
-        ups, downs = self.covered_cells()
         for r in sorted(self.rhombi):
             x, yy = r
             if not 0 <= x <= yy < n - 1:
@@ -209,26 +251,19 @@ class Puzzle:
                 out.append(f"unlabeled edge {e}")
         if out:
             return out
-        for r in sorted(self.rhombi):
-            p_pair, q_pair = rhombus_outer_edges(r)
-            p0, p1 = (self.labels[e] for e in p_pair)
-            q0, q1 = (self.labels[e] for e in q_pair)
-            if p0 != p1 or q0 != q1:
-                out.append(f"rhombus {r} has unequal opposite sides")
-            elif (p0, q0) not in t.rhombi:
-                out.append(f"invalid rhombus {(p0, q0)} at {r}")
-        for x, yy in up_cells(n):
-            if (x, yy) in ups:
-                continue
-            l, rr, h = (self.labels[e] for e in up_cell_edges(x, yy))
-            if not t.valid_up(l, rr, h):
-                out.append(f"invalid up-triangle {(l, rr, h)} at {(x, yy)}")
-        for x, yy in down_cells(n):
-            if (x, yy) in downs:
-                continue
-            nw, ne, top = (self.labels[e] for e in down_cell_edges(x, yy))
-            if not t.valid_down(nw, ne, top):
-                out.append(f"invalid down-triangle {(nw, ne, top)} at {(x, yy)}")
+        labels = self.labels
+        for kind, cell, lab in self.pieces():
+            if kind == "R":
+                (_, p1), (_, q1) = rhombus_outer_edges(cell)
+                if lab != (labels[p1], labels[q1]):
+                    out.append(f"rhombus {cell} has unequal opposite sides")
+                elif lab not in t.rhombi:
+                    out.append(f"invalid rhombus {lab} at {cell}")
+            elif kind == "U":
+                if not t.valid_up(*lab):
+                    out.append(f"invalid up-triangle {lab} at {cell}")
+            elif not t.valid_down(*lab):
+                out.append(f"invalid down-triangle {lab} at {cell}")
         for s in self.boundary():
             for l in s:
                 if l not in SIMPLE:
@@ -268,40 +303,16 @@ class Puzzle:
 
 def puzzle_to_json(P: Puzzle) -> str:
     """Serialize to the piece-list JSON schema (deterministic order)."""
-    n = P.n
-    ups, downs = P.covered_cells()
-    pieces = []
-    for r in sorted(P.rhombi):
-        p_pair, q_pair = rhombus_outer_edges(r)
-        pieces.append(
-            {
-                "kind": "rhombus",
-                "orientation": 0,
-                "anchor": list(r),
-                "labels": [P.labels[p_pair[0]], P.labels[q_pair[0]]],
-            }
-        )
-    for x, yy in up_cells(n):
-        if (x, yy) in ups:
-            continue
-        l, rr, h = (P.labels[e] for e in up_cell_edges(x, yy))
-        pieces.append(
-            {"kind": "triangle", "orientation": 0, "anchor": [x, yy], "labels": [l, rr, h]}
-        )
-    for x, yy in down_cells(n):
-        if (x, yy) in downs:
-            continue
-        nw, ne, top = (P.labels[e] for e in down_cell_edges(x, yy))
-        pieces.append(
-            {
-                "kind": "triangle",
-                "orientation": 3,
-                "anchor": [x, yy],
-                "labels": [nw, ne, top],
-            }
-        )
-    region = [n, 0, n, 0, n, 0]
-    return json.dumps({"region": region, "pieces": pieces})
+    pieces = [
+        {
+            "kind": "rhombus" if kind == "R" else "triangle",
+            "orientation": 3 if kind == "D" else 0,
+            "anchor": list(anchor),
+            "labels": list(lab),
+        }
+        for kind, anchor, lab in P.pieces()
+    ]
+    return json.dumps({"region": [P.n, 0, P.n, 0, P.n, 0], "pieces": pieces})
 
 
 def puzzle_from_json(text: str) -> Puzzle:
@@ -320,6 +331,8 @@ def puzzle_from_json(text: str) -> Puzzle:
     n = nonzero[0]
     if type(n) is not int:
         raise ValueError(f"region side {n!r} is not an integer")
+    if n > NVARS:
+        raise ValueError(f"region side {n}: the variables are y1 .. y{NVARS}")
     labels: dict[Edge, int] = {}
     rhombi: set[Rhombus] = set()
     covered: set[tuple[str, int, int]] = set()
@@ -337,9 +350,8 @@ def puzzle_from_json(text: str) -> Puzzle:
             sides = rhombus_outer_edges((x, yy))
             rhombi.add((x, yy))
         elif kind == "triangle" and orient % 6 in (0, 3):
-            up = orient % 6 == 0
-            cells = [("U" if up else "D", x, yy)]
-            sides = tuple((e,) for e in (up_cell_edges if up else down_cell_edges)(x, yy))
+            cells = [("U" if orient % 6 == 0 else "D", x, yy)]
+            sides = tuple((e,) for e in cell_sides(cells[0]))
         else:
             raise ValueError(f"bad piece {piece!r}")
         if len(lab) != len(sides):
@@ -390,7 +402,6 @@ def _vertex_xy(x: int, yy: int) -> tuple[float, float]:
 def render_svg(P: Puzzle) -> str:
     """Render to SVG: triangles outlined, rhombi shaded."""
     n = P.n
-    ups, downs = P.covered_cells()
     parts: list[str] = []
 
     def pt(p):
@@ -408,43 +419,33 @@ def render_svg(P: Puzzle) -> str:
             f'font-size="9" fill="black" text-anchor="middle">{s}</text>'
         )
 
-    for r in sorted(P.rhombi):
-        x, yy = r
-        quad = {
-            _vertex_xy(x, yy),
-            _vertex_xy(x, yy + 1),
-            _vertex_xy(x + 1, yy + 1),
-            _vertex_xy(x + 1, yy + 2),
-        }
-        # order the corners around the centroid: float rounding makes
-        # the order start at the lower-left corner for some (x, y), and
-        # the sums run in the set's order (both fix the SVG bytes)
-        cx = sum(p[0] for p in quad) / 4
-        cy = sum(p[1] for p in quad) / 4
-        ordered = sorted(quad, key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
-        poly(ordered, "#c8d8ff")
-        p_pair, q_pair = rhombus_outer_edges(r)
-        text(cx, cy, f"{P.labels[p_pair[0]]}/{P.labels[q_pair[0]]}")
-    for x, yy in up_cells(n):
-        if (x, yy) in ups:
-            continue
-        a = _vertex_xy(x, yy)
-        bl = _vertex_xy(x, yy + 1)
-        br = _vertex_xy(x + 1, yy + 1)
-        poly([a, bl, br], "white")
-        if ("H", x, yy) in P.labels:
-            text((bl[0] + br[0]) / 2, bl[1] - 3, str(P.labels[("H", x, yy)]))
-        if ("A", x, yy) in P.labels:
-            text((a[0] + bl[0]) / 2 - 6, (a[1] + bl[1]) / 2 + 3, str(P.labels[("A", x, yy)]))
-        if ("B", x, yy) in P.labels:
-            text((a[0] + br[0]) / 2 + 6, (a[1] + br[1]) / 2 + 3, str(P.labels[("B", x, yy)]))
-    for x, yy in down_cells(n):
-        if (x, yy) in downs:
-            continue
-        tl = _vertex_xy(x, yy)
-        tr = _vertex_xy(x + 1, yy)
-        bot = _vertex_xy(x + 1, yy + 1)
-        poly([tl, tr, bot], "white")
+    for kind, (x, yy), lab in P.pieces():
+        if kind == "R":
+            quad = {
+                _vertex_xy(x, yy),
+                _vertex_xy(x, yy + 1),
+                _vertex_xy(x + 1, yy + 1),
+                _vertex_xy(x + 1, yy + 2),
+            }
+            # order the corners around the centroid: float rounding makes
+            # the order start at the lower-left corner for some (x, y), and
+            # the sums run in the set's order (both fix the SVG bytes)
+            cx = sum(p[0] for p in quad) / 4
+            cy = sum(p[1] for p in quad) / 4
+            ordered = sorted(quad, key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
+            poly(ordered, "#c8d8ff")
+            text(cx, cy, f"{lab[0]}/{lab[1]}")
+        elif kind == "U":
+            a = _vertex_xy(x, yy)
+            bl = _vertex_xy(x, yy + 1)
+            br = _vertex_xy(x + 1, yy + 1)
+            poly([a, bl, br], "white")
+            left, right, bottom = lab
+            text((bl[0] + br[0]) / 2, bl[1] - 3, str(bottom))
+            text((a[0] + bl[0]) / 2 - 6, (a[1] + bl[1]) / 2 + 3, str(left))
+            text((a[0] + br[0]) / 2 + 6, (a[1] + br[1]) / 2 + 3, str(right))
+        else:
+            poly([_vertex_xy(x, yy), _vertex_xy(x + 1, yy), _vertex_xy(x + 1, yy + 1)], "white")
     size = _SCALE * (n + 1) + 20
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" '

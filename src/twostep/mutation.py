@@ -22,7 +22,9 @@ and keeps them, and the functions here read them from the current
 A *gashed puzzle* is a :class:`~.board.Puzzle` plus two directed
 gashes, and a *flawed puzzle* is a ``Puzzle`` plus exactly one flaw: a
 gash pair on a border segment, a temporary piece, or a marked scab.
-The ``Puzzle`` holds the labels and rhombi and decides identity.
+The ``Puzzle`` holds the labels and rhombi and decides identity; the
+sides of a cell (``cell_sides``) and the edge and inward direction at a
+border position (``border_edge``) are read from :mod:`~.board`.
 Replacing the flaw by two directed gashes gives its *resolutions*;
 ``phi`` propagates both gashes to their fixed points and reverses them,
 which is an involution whose value is a resolution of a unique other
@@ -49,13 +51,13 @@ from .board import (
     Edge,
     InvariantViolation,
     Puzzle,
-    down_cell_edges,
+    border_edge,
+    cell_sides,
     on_board,
     puzzle_to_json,
     rhombus_outer_edges,
-    up_cell_edges,
 )
-from .labels import OUT_DOWN, OUT_UP, SIMPLE, AbstractGash, PieceTables, tables
+from .labels import OUT_DOWN, OUT_UP, SIMPLE, AbstractGash, PieceTables, dual_label, tables
 from .search import enumerate_one_special, enumerate_puzzles
 from .strings import String012, covers, cocovers, fmt
 
@@ -127,11 +129,6 @@ def cell_ahead(edge: Edge, d: int, n: int) -> Optional[tuple[str, int, int]]:
 
 def cell_behind(edge: Edge, d: int, n: int) -> Optional[tuple[str, int, int]]:
     return cell_ahead(edge, (d + 3) % 6, n)
-
-
-def cell_sides(cell: tuple[str, int, int]) -> tuple[Edge, Edge, Edge]:
-    kind, x, yy = cell
-    return up_cell_edges(x, yy) if kind == "U" else down_cell_edges(x, yy)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +209,8 @@ def scab_positions(P: Puzzle) -> list[tuple[int, int]]:
 
 def _scab_edges(x: int, yy: int) -> tuple[Edge, Edge, Edge, Edge]:
     """(NW, NE, SE, SW) sides of the triangle pair U(x,y), D(x,y+1)."""
-    return (("A", x, yy), ("B", x, yy), ("A", x + 1, yy + 1), ("B", x, yy + 1))
+    (ne, sw), (nw, se) = rhombus_outer_edges((x, yy))
+    return (nw, ne, se, sw)
 
 
 def _scab_at(labels: dict, x: int, yy: int) -> tuple[int, int, int, int]:
@@ -393,7 +391,7 @@ class FlawedPuzzle:
             bad = [l for _, l in positions if l not in SIMPLE]
             if bad:
                 return [f"outer boundary label {l} is not simple" for l in bad]
-            edges = [_border_edge(border, i, n)[0] for i in where]
+            edges = [border_edge(border, i, n)[0] for i in where]
         elif kind == "temporary":
             if not on_board(data, n):
                 return [f"cell {data} is not on the board"]
@@ -444,7 +442,7 @@ class FlawedPuzzle:
             labels = self.base.labels.copy()
             gashes = set()
             for i, outer in positions:
-                edge, d = _border_edge(border, i, n)
+                edge, d = border_edge(border, i, n)
                 gashes.add(PlacedGash(edge, d, labels.pop(edge), outer))
             return [GashedPuzzle(Puzzle(n, labels, rhombi), frozenset(gashes))]
         if self.flaw_type == "temporary":
@@ -484,16 +482,6 @@ class FlawedPuzzle:
             base = Puzzle(n, labels, rhombi | {(x, yy)})
             return [GashedPuzzle(base, frozenset(gashes))]
         raise ValueError(f"unknown flaw {self.flaw!r}")
-
-
-def _border_edge(border: str, i: int, n: int) -> tuple[Edge, int]:
-    """The border edge at 1-based position ``i`` and the direction of a
-    gash pointing into the puzzle."""
-    if border == "u":
-        return ("A", 0, n - i), 5
-    if border == "v":
-        return ("B", i - 1, i - 1), 3
-    return ("H", i - 1, n - 1), 1
 
 
 def _border_position(edge: Edge, d: int, n: int) -> Optional[tuple[str, int]]:
@@ -735,8 +723,6 @@ def enumerate_flawed(
 
 def dual_flawed(P: FlawedPuzzle) -> FlawedPuzzle:
     """Reflect the flawed puzzle and dualize all labels."""
-    from .labels import dual_label
-
     n = P.base.n
     kind, data = P.flaw
     if kind == "gashpair":

@@ -198,34 +198,24 @@ def covers(u: String012) -> list[CoverEdge]:
 
 
 def cocovers(w: String012) -> list[CoverEdge]:
-    """All covers ``w' -> w`` (i.e. ``w`` covers ``w'``).
+    """All covers ``w' -> w`` (i.e. ``w`` covers ``w'``), sorted by
+    ``(i, j)``.
+
+    Reversing a string turns the Bruhat order of its content upside
+    down, with ``l(rev u) = N - l(u)`` for the largest length ``N`` (on
+    the Weyl group, ``w -> w w0``; Bjorner-Brenti, *Combinatorics of
+    Coxeter Groups*, Prop. 2.3.4).  So the covers into ``w`` are the
+    covers out of ``rev w``, read backwards.
 
     >>> all(c.after == parse("12021") for c in cocovers(parse("12021")))
     True
     """
     n = len(w)
-    out: list[CoverEdge] = []
-    for i in range(n):
-        if w[i] == 1:
-            # came from (0, 2^m, 1)
-            j = i + 1
-            while j < n and w[j] == 2:
-                j += 1
-            if j < n and w[j] == 0:
-                before = w[:i] + (0,) + w[i + 1 : j] + (1,) + w[j + 1 :]
-                out.append(CoverEdge(before, w, i, j, (0, 1)))
-        elif w[i] == 2:
-            # came from (0, 2)
-            if i + 1 < n and w[i + 1] == 0:
-                before = w[:i] + (0, 2) + w[i + 2 :]
-                out.append(CoverEdge(before, w, i, i + 1, (0, 2)))
-            # came from (1, 0^m, 2)
-            j = i + 1
-            while j < n and w[j] == 0:
-                j += 1
-            if j < n and w[j] == 1:
-                before = w[:i] + (1,) + w[i + 1 : j] + (2,) + w[j + 1 :]
-                out.append(CoverEdge(before, w, i, j, (1, 2)))
+    out = [
+        CoverEdge(c.after[::-1], w, n - 1 - c.j, n - 1 - c.i, c.delta_letters)
+        for c in covers(w[::-1])
+    ]
+    out.sort(key=lambda c: (c.i, c.j))
     return out
 
 

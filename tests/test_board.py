@@ -12,6 +12,7 @@ from twostep.algebra import YPoly, y
 from twostep.board import (
     Puzzle,
     all_edges,
+    border_edge,
     down_cell_edges,
     down_cells,
     edge_weight,
@@ -26,7 +27,7 @@ from twostep.board import (
     up_cells,
 )
 from twostep.search import enumerate_puzzles
-from twostep.strings import all_strings, contents_up_to, parse
+from twostep.strings import all_strings, bruhat_leq, contents_up_to, parse
 
 
 def test_cell_counts():
@@ -209,3 +210,62 @@ def test_render_svg_pinned():
         1213,
         "ddb8fcd8646d05ff712c9d6aa8cffef47be12bdab60f48dc61b3936dffc97d15",
     )
+
+
+def _listed(max_n):
+    """Every puzzle with n <= max_n, in ``contents_up_to`` and
+    ``itertools.product`` order; a triple without ``u <= w`` and
+    ``v <= w`` has no puzzle and is skipped."""
+    for a, b, n in contents_up_to(max_n):
+        for u, v, w in itertools.product(all_strings(a, b, n), repeat=3):
+            if bruhat_leq(u, w) and bruhat_leq(v, w):
+                yield from enumerate_puzzles(u, v, w)
+
+
+def test_puzzle_to_json_pinned():
+    # sha256 over the piece-list JSON of every puzzle with n <= 4,
+    # recorded before the piece walk was shared with validate and SVG
+    digest = hashlib.sha256()
+    count = 0
+    for P in _listed(4):
+        count += 1
+        digest.update((puzzle_to_json(P) + "\n").encode())
+    assert (count, digest.hexdigest()) == (
+        1213,
+        "8d80426e517a1416d98a74a13152cc1a114d5f7968a3dabdc3f1a312459e3401",
+    )
+
+
+def test_validate_messages_pinned():
+    # sha256 over validate()'s report for every puzzle with n <= 3 with
+    # one edge relabeled to each other label, recorded before the piece
+    # walk was shared: pins every message and its order, down-triangle
+    # checks included
+    digest = hashlib.sha256()
+    count = 0
+    for P in _listed(3):
+        for e, label in sorted(P.labels.items()):
+            for other in range(8):
+                if other != label:
+                    labels = P.labels.copy()
+                    labels[e] = other
+                    count += 1
+                    report = Puzzle(P.n, labels, P.rhombi).validate()
+                    digest.update((repr(report) + "\n").encode())
+    assert (count, digest.hexdigest()) == (
+        8855,
+        "6630e93eca8c4613b63ea94a9b374a0bdc402c0e61ee93a3295a796f83555afa",
+    )
+
+
+def test_boundary_reads_border_edges():
+    # Puzzle.boundary spells the border edges out; they must be border_edge's
+    count = 0
+    for P in _listed(5):
+        count += 1
+        n = P.n
+        expect = tuple(
+            tuple(P.labels[border_edge(b, i, n)[0]] for i in range(1, n + 1)) for b in "uvw"
+        )
+        assert P.boundary() == expect
+    assert count == 23913

@@ -275,6 +275,26 @@ def test_mutate_bad_input_exit_codes(capsys, tmp_path, scab_file, argv, code):
     assert err.startswith(("input error", "semantic error"))
 
 
+@pytest.mark.parametrize("side, code", [(NVARS, 3), (NVARS + 1, 2)])
+def test_mutate_region_past_the_variables(capsys, tmp_path, side, code):
+    # two triangles label the four scab edges and leave the rest of the
+    # region unlabeled; a side past the variables is rejected on reading,
+    # before validation lists every unlabeled edge of the region
+    up = {"kind": "triangle", "orientation": 0, "anchor": [0, 0], "labels": [0, 1, 2]}
+    down = {"kind": "triangle", "orientation": 3, "anchor": [0, 1], "labels": [1, 0, 2]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"region": [side, 0] * 3, "pieces": [up, down]}))
+    got, out, err = run(capsys, "mutate", "--puzzle", str(path), "--flaw", "scab:0,0")
+    assert (got, out) == (code, "")
+    if code == 2:
+        assert err == (
+            f"input error: bad puzzle JSON: region side {side}: "
+            f"the variables are y1 .. y{NVARS}\n"
+        )
+    else:
+        assert err.startswith("semantic error: unlabeled edge")
+
+
 _SMALL = st.integers(-2, 10)
 _FLAW_SPECS = st.one_of(
     st.builds("scab:{},{}".format, _SMALL, _SMALL),

@@ -14,8 +14,8 @@ import pytest
 
 from twostep import algebra, board, cli, mutation, search, strings
 from twostep.algebra import Tower
-from twostep.board import rhombus_position
-from twostep.strings import covers
+from twostep.board import border_edge, rhombus_position
+from twostep.strings import cocovers, covers
 
 
 def source_mutant(func, old, new):
@@ -41,6 +41,13 @@ DIVIDE_LOWERS_WRONG_FIELD = source_mutant(
     algebra.exact_divide, "qm = m - pivot", "qm = m - (pivot >> 8)"
 )
 
+
+def v_points_out(border, i, n):
+    """``border_edge`` with the gash on border ``v`` pointing off the board."""
+    edge, d = border_edge(border, i, n)
+    return (edge, 0 if border == "v" else d)
+
+
 # (name, object, attribute, faulty replacement, argv of the check that must exit 1)
 MUTANTS = [
     ("tower-sub-adds", Tower, "__sub__", lambda a, b: a + b, AURA),
@@ -49,8 +56,10 @@ MUTANTS = [
      lambda x, yy, n: rhombus_position(x, yy, n)[::-1], ORACLE),
     ("zeta-six-is-one", algebra, "_ZETA_REDUCE", ZETA_SIX_IS_ONE, PIECES),
     ("covers-drops-first", strings, "covers", lambda u: covers(u)[1:], ORACLE),
+    ("cocovers-drops-last", strings, "cocovers", lambda w: cocovers(w)[:-1], ORACLE),
     ("gash-class-is-singleton", mutation, "gash_class", lambda g: frozenset({g}), GASHES),
     ("out-up-swapped", mutation, "OUT_UP", OUT_UP_SWAPPED, MUTATION),
+    ("border-edge-v-points-out", mutation, "border_edge", v_points_out, MUTATION),
     ("walk-drops-last", search, "_walk", lambda *key: iter(list(WALK(*key))[:-1]), ORACLE),
     ("exact-divide-lowers-wrong-field", strings, "exact_divide", DIVIDE_LOWERS_WRONG_FIELD, ORACLE),
     ("one-special-lists-nothing", mutation, "enumerate_one_special", lambda *key: iter(()),

@@ -93,6 +93,18 @@ def test_covers_cocovers_adjoint(s):
         assert length(ce.before) == length(u) - 1
 
 
+def test_cocovers_are_the_covers_into_w():
+    # every field of every cover, for every content with n <= 8
+    for a, b, n in contents_up_to(8):
+        words = list(all_strings(a, b, n))
+        into = {w: [] for w in words}
+        for u in words:
+            for ce in covers(u):
+                into[ce.after].append(ce)
+        for w in words:
+            assert cocovers(w) == sorted(into[w], key=lambda c: (c.i, c.j))
+
+
 def test_cover_delta_forms():
     # 02 -> 20 moves a 0 past a 2 at position 0: delta_0 - delta_2
     [ce] = covers(parse("02"))
