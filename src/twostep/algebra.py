@@ -247,9 +247,6 @@ class YPoly:
         # a key's highest variable is its highest nonzero byte
         return (max(self.terms, default=0).bit_length() + 7) // 8
 
-    def coeff(self, mono: Iterable[int]) -> int:
-        return self.terms.get(_pack(mono), 0)
-
     def substitute(self, values: Mapping[int, "YPoly"]) -> "YPoly":
         """Substitute ``y_i -> values[i]`` (1-based; missing i stays ``y_i``)."""
         out = YPoly.zero()

@@ -38,8 +38,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .algebra import Tower, YPoly, y
-from .board import Puzzle, cell_sides, edge_weight, rhombus_position
+from .algebra import Tower
+from .board import Puzzle, cell_sides, edge_weight, rhombus_weight
 from .labels import IN_DOWN, IN_UP, tables
 from .mutation import (
     AbstractGash,
@@ -53,7 +53,7 @@ from .mutation import (
     scab_positions,
 )
 from .search import structure_constant
-from .strings import String012, c_form, cocovers, content, covers, fmt
+from .strings import String012, c_form, content, fmt, neighbours
 
 __all__ = [
     "aura_table",
@@ -153,14 +153,12 @@ def equivariant_flawed_aura(P: FlawedPuzzle) -> Tower:
     return scab_equivariant_aura(P.base, x, yy)
 
 
-def _scab_weight(P: FlawedPuzzle) -> YPoly:
-    x, yy = P.flaw[1]
-    i, j = rhombus_position(x, yy, P.base.n)
-    return y(j) - y(i)
-
-
 # ---------------------------------------------------------------------------
 # Executable identities (each returns {check, instance, pass, lhs, rhs})
+
+
+# per border, the power of zeta in a cover's gash-pair aura and recursion term
+_COVER_ZETA = {"u": 5, "v": 1, "w": 9}
 
 
 def _border_form(u: String012, v: String012, w: String012) -> Tower:
@@ -263,8 +261,7 @@ def check_cover_aura(P: FlawedPuzzle) -> dict:
     (left border), ``zeta * delta`` (right), or ``zeta^9 * delta``
     (bottom), where ``delta`` is the cover's delta form."""
     border, ce = P.cover_edge()
-    k = {"u": 5, "v": 1, "w": 9}[border]
-    rhs = Tower.zeta(k) * ce.delta_tower()
+    rhs = Tower.zeta(_COVER_ZETA[border]) * ce.delta_tower()
     inst = f"gash pair on border {border}: {fmt(ce.before)} -> {fmt(ce.after)}"
     return _report("cover gash aura", inst, flawed_aura(P), rhs)
 
@@ -273,7 +270,7 @@ def check_scab_weight(P: FlawedPuzzle) -> dict:
     """For a marked-scab flaw, the equivariant aura is ``-weight(s)``
     times the ordinary aura."""
     lhs = equivariant_flawed_aura(P)
-    rhs = -Tower.from_ypoly(_scab_weight(P)) * flawed_aura(P)
+    rhs = -Tower.from_ypoly(rhombus_weight(*P.flaw[1], P.base.n)) * flawed_aura(P)
     return _report("scab weight", f"marked scab at {P.flaw[1]}", lhs, rhs)
 
 
@@ -300,18 +297,9 @@ def check_recursion(u: String012, v: String012, w: String012) -> dict:
     c = Tower.from_ypoly(structure_constant(u, v, w))
     lhs = _border_form(u, v, w) * c
     rhs = Tower.zero()
-    for ce in covers(u):
-        rhs = rhs + Tower.zeta(5) * ce.delta_tower() * Tower.from_ypoly(
-            structure_constant(ce.after, v, w)
-        )
-    for ce in covers(v):
-        rhs = rhs + Tower.zeta(1) * ce.delta_tower() * Tower.from_ypoly(
-            structure_constant(u, ce.after, w)
-        )
-    for ce in cocovers(w):
-        rhs = rhs + Tower.zeta(9) * ce.delta_tower() * Tower.from_ypoly(
-            structure_constant(u, v, ce.before)
-        )
+    for border, ce, triple in neighbours(u, v, w):
+        term = Tower.from_ypoly(structure_constant(*triple))
+        rhs = rhs + Tower.zeta(_COVER_ZETA[border]) * ce.delta_tower() * term
     inst = f"recursion at ({fmt(u)}, {fmt(v)}, {fmt(w)})"
     return _report("aura recursion", inst, lhs, rhs)
 

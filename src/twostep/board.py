@@ -1,9 +1,11 @@
 """Triangular-lattice geometry and puzzles.
 
 This module owns every decision about the triangle's geometry: the
-cells and their sides (``cell_sides``), the border edges and their
-inward directions (``border_edge``), and the walk over a tiling's
-pieces (``Puzzle.pieces``) that validation, JSON and SVG share.
+cells and their sides (``cell_sides``), the cell a gash points at
+(``cell_ahead``), the border edges and their inward directions
+(``border_edge``, inverted by ``border_position``), the rhombus weight,
+and the walk over a tiling's pieces (``Puzzle.pieces``) that
+validation, JSON and SVG share.
 
 A size-``n`` puzzle fills the upward equilateral triangle with rows
 ``y = 0`` (apex) through ``n-1`` (bottom).  Row ``y`` holds up-cells
@@ -48,7 +50,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .algebra import NVARS, YPoly, y
-from .labels import SIMPLE, dual_label, tables
+from .labels import IN_DOWN, IN_UP, SIMPLE, dual_label, tables
 
 __all__ = [
     "InvariantViolation",
@@ -111,6 +113,27 @@ def on_board(cell: tuple[str, int, int], n: int) -> bool:
     return kind == "D" and 0 <= x < yy <= n - 1
 
 
+# (edge kind, d) -> (cell kind, dx, dy) from each cell's sides and the directions
+# into it: a gash with direction d on the edge at (x, y) points at (x + dx, y + dy)
+_AHEAD = {
+    (ek, d): (kind, -ex, -ey)
+    for kind, ins in (("U", IN_UP), ("D", IN_DOWN))
+    for (ek, ex, ey), d in zip(cell_sides((kind, 0, 0)), ins)
+}
+
+
+def cell_ahead(edge: Edge, d: int, n: int) -> tuple[str, int, int] | None:
+    """The cell a gash at ``edge`` with direction ``d`` points at, or
+    None when it points off the board."""
+    kind, x, yy = edge
+    ahead = _AHEAD.get((kind, d))
+    if ahead is None:
+        raise ValueError(f"direction {d} is not perpendicular to edge {edge}")
+    ck, dx, dy = ahead
+    cell = (ck, x + dx, yy + dy)
+    return cell if on_board(cell, n) else None
+
+
 def rhombus_inner_edge(r: Rhombus) -> Edge:
     """The unlabeled edge interior to a rhombus occurrence."""
     return ("H", *r)
@@ -152,6 +175,12 @@ def rhombus_position(x: int, yy: int, n: int) -> tuple[int, int]:
     return (x + 1, n - yy + x)
 
 
+def rhombus_weight(x: int, yy: int, n: int) -> YPoly:
+    """The weight ``y_j - y_i`` of the rhombus ``(x, y)`` at ``(i, j)``."""
+    i, j = rhombus_position(x, yy, n)
+    return y(j) - y(i)
+
+
 def border_edge(border: str, i: int, n: int) -> tuple[Edge, int]:
     """The edge at 1-based position ``i`` of border ``"u"``, ``"v"`` or
     ``"w"``, and the direction of a gash there pointing into the puzzle."""
@@ -160,6 +189,16 @@ def border_edge(border: str, i: int, n: int) -> tuple[Edge, int]:
     if border == "v":
         return ("B", i - 1, i - 1), 3
     return ("H", i - 1, n - 1), 1
+
+
+def border_position(edge: Edge, n: int) -> tuple[str, int]:
+    """The border and 1-based position of a border edge: the inverse
+    of ``border_edge``."""
+    kind, x, yy = edge
+    border, i = {"A": ("u", n - yy), "B": ("v", yy + 1), "H": ("w", x + 1)}[kind]
+    if border_edge(border, i, n)[0] != edge:
+        raise ValueError(f"edge {edge} is not on the border")
+    return border, i
 
 
 class InvariantViolation(RuntimeError):
@@ -273,11 +312,10 @@ class Puzzle:
     # -- weights -----------------------------------------------------------
 
     def weight(self) -> YPoly:
-        """Product of ``y_j - y_i`` over all rhombi."""
+        """Product of the rhombus weights."""
         out = YPoly.const(1)
         for x, yy in sorted(self.rhombi):
-            i, j = rhombus_position(x, yy, self.n)
-            out = out * (y(j) - y(i))
+            out = out * rhombus_weight(x, yy, self.n)
         return out
 
     # -- symmetries --------------------------------------------------------

@@ -167,6 +167,8 @@ def _cmd_mutate(args) -> int:
     P = FlawedPuzzle(base, _parse_flaw(args.flaw))
     problems = P.validate()
     if problems:
+        if len(problems) > 20:  # a mostly unlabeled region has thousands
+            problems[20:] = [f"… and {len(problems) - 20} more"]
         raise SemanticError("; ".join(problems))
     if args.component:
         graph = mutation_component(P)

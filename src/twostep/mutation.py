@@ -22,9 +22,10 @@ and keeps them, and the functions here read them from the current
 A *gashed puzzle* is a :class:`~.board.Puzzle` plus two directed
 gashes, and a *flawed puzzle* is a ``Puzzle`` plus exactly one flaw: a
 gash pair on a border segment, a temporary piece, or a marked scab.
-The ``Puzzle`` holds the labels and rhombi and decides identity; the
-sides of a cell (``cell_sides``) and the edge and inward direction at a
-border position (``border_edge``) are read from :mod:`~.board`.
+The ``Puzzle`` holds the labels and rhombi and decides identity; cell
+sides, the cell a gash points at, and border edges and positions are
+read from :mod:`~.board`.  A gash sits on a border, pointing in,
+exactly when no cell lies behind it.
 Replacing the flaw by two directed gashes gives its *resolutions*;
 ``phi`` propagates both gashes to their fixed points and reverses them,
 which is an involution whose value is a resolution of a unique other
@@ -52,6 +53,8 @@ from .board import (
     InvariantViolation,
     Puzzle,
     border_edge,
+    border_position,
+    cell_ahead,
     cell_sides,
     on_board,
     puzzle_to_json,
@@ -59,7 +62,7 @@ from .board import (
 )
 from .labels import OUT_DOWN, OUT_UP, SIMPLE, AbstractGash, PieceTables, dual_label, tables
 from .search import enumerate_one_special, enumerate_puzzles
-from .strings import String012, covers, cocovers, fmt
+from .strings import String012, covers, fmt, neighbours
 
 __all__ = [
     "AbstractGash",
@@ -108,23 +111,6 @@ class PlacedGash:
 
     def reverse(self) -> "PlacedGash":
         return PlacedGash(self.edge, (self.d + 3) % 6, self.new, self.orig)
-
-
-def cell_ahead(edge: Edge, d: int, n: int) -> Optional[tuple[str, int, int]]:
-    """The cell a gash at ``edge`` with direction ``d`` points at, or
-    None when it points off the board."""
-    kind, x, yy = edge
-    if kind == "H":
-        cell = ("U", x, yy) if d == 1 else ("D", x, yy + 1) if d == 4 else None
-    elif kind == "B":
-        cell = ("U", x, yy) if d == 3 else ("D", x, yy) if d == 0 else None
-    elif kind == "A":
-        cell = ("U", x, yy) if d == 5 else ("D", x - 1, yy) if d == 2 else None
-    else:
-        cell = None
-    if cell is None:
-        raise ValueError(f"direction {d} is not perpendicular to edge {edge}")
-    return cell if on_board(cell, n) else None
 
 
 def cell_behind(edge: Edge, d: int, n: int) -> Optional[tuple[str, int, int]]:
@@ -446,19 +432,16 @@ class FlawedPuzzle:
                 gashes.add(PlacedGash(edge, d, labels.pop(edge), outer))
             return [GashedPuzzle(Puzzle(n, labels, rhombi), frozenset(gashes))]
         if self.flaw_type == "temporary":
-            kind, x, yy = self.flaw[1]
-            edges = cell_sides((kind, x, yy))
+            kind = self.flaw[1][0]
+            edges = cell_sides(self.flaw[1])
             t = tuple(self.base.labels[e] for e in edges)
             table = temporary_table() if kind == "U" else down_temporary_table()
             outs = OUT_UP if kind == "U" else OUT_DOWN
             res = []
-            for k in range(3):
-                r = table[t][k]
+            for k, r in enumerate(table[t]):  # side k is preserved
                 labels = self.base.labels.copy()
                 gashes = set()
-                for s in range(3):
-                    if s == k:
-                        continue
+                for s in {0, 1, 2} - {k}:
                     del labels[edges[s]]
                     gashes.add(PlacedGash(edges[s], outs[s], t[s], r[s]))
                 res.append(GashedPuzzle(Puzzle(n, labels, rhombi), frozenset(gashes)))
@@ -467,32 +450,18 @@ class FlawedPuzzle:
             x, yy = self.flaw[1]
             labels = self.base.labels.copy()
             side, (p, q) = scab_table()[_scab_at(labels, x, yy)]
-            nw_e, ne_e, se_e, sw_e = _scab_edges(x, yy)
-            if side == "L":  # agrees on NW/SW; gashes on NE and SE
-                gashes = {
-                    PlacedGash(ne_e, 0, labels.pop(ne_e), p),
-                    PlacedGash(se_e, 5, labels.pop(se_e), q),
-                }
-            else:  # agrees on NE/SE; gashes on NW and SW
-                gashes = {
-                    PlacedGash(nw_e, 2, labels.pop(nw_e), q),
-                    PlacedGash(sw_e, 3, labels.pop(sw_e), p),
-                }
+            # the gashes are the right sides (NE, SE) of both cells if the
+            # resolution agrees on the left ("L"), else the left sides;
+            # a NW-SE ("B") side takes p, a SW-NE ("A") side q
+            s = 1 if side == "L" else 0
+            gashes = set()
+            for cell, outs in ((("U", x, yy), OUT_UP), (("D", x, yy + 1), OUT_DOWN)):
+                e = cell_sides(cell)[s]
+                gashes.add(PlacedGash(e, outs[s], labels.pop(e), p if e[0] == "B" else q))
             # H(x,y) becomes the rhombus interior, which Puzzle drops
             base = Puzzle(n, labels, rhombi | {(x, yy)})
             return [GashedPuzzle(base, frozenset(gashes))]
         raise ValueError(f"unknown flaw {self.flaw!r}")
-
-
-def _border_position(edge: Edge, d: int, n: int) -> Optional[tuple[str, int]]:
-    kind, x, yy = edge
-    if kind == "A" and x == 0 and d == 5:
-        return ("u", n - yy)
-    if kind == "B" and x == yy and d == 3:
-        return ("v", yy + 1)
-    if kind == "H" and yy == n - 1 and d == 1:
-        return ("w", x + 1)
-    return None
 
 
 def recognize_flaw(G: GashedPuzzle) -> FlawedPuzzle:
@@ -506,27 +475,22 @@ def recognize_flaw(G: GashedPuzzle) -> FlawedPuzzle:
     labels = B.labels.copy()
     labels[g1.edge] = g1.orig
     labels[g2.edge] = g2.orig
-    b1 = _border_position(g1.edge, g1.d, n)
-    b2 = _border_position(g2.edge, g2.d, n)
-    if b1 is not None and b2 is not None and b1[0] == b2[0]:
-        positions = tuple(
-            sorted(((b1[1], g1.new), (b2[1], g2.new)))
-        )
-        P = FlawedPuzzle(Puzzle(n, labels, B.rhombi), ("gashpair", (b1[0], positions)))
-        P.cover_edge()  # raises if the strings do not form a cover
-        return P
     c1 = cell_behind(g1.edge, g1.d, n)
     c2 = cell_behind(g2.edge, g2.d, n)
+    if c1 is None and c2 is None:  # both on a border, pointing in
+        (b1, i1), (b2, i2) = border_position(g1.edge, n), border_position(g2.edge, n)
+        if b1 == b2:
+            positions = tuple(sorted(((i1, g1.new), (i2, g2.new))))
+            P = FlawedPuzzle(Puzzle(n, labels, B.rhombi), ("gashpair", (b1, positions)))
+            P.cover_edge()  # raises if the strings do not form a cover
+            return P
     if c1 is not None and c1 == c2 and B.rhombus_at(c1) is None:
-        kind = c1[0]
         edges = cell_sides(c1)
         s1, s2 = edges.index(g1.edge), edges.index(g2.edge)
         k = ({0, 1, 2} - {s1, s2}).pop()
         t = tuple(labels[e] for e in edges)
-        r = tuple(
-            g1.new if i == s1 else g2.new if i == s2 else t[i] for i in range(3)
-        )
-        table = temporary_table() if kind == "U" else down_temporary_table()
+        r = tuple(g1.new if i == s1 else g2.new if i == s2 else t[i] for i in range(3))
+        table = temporary_table() if c1[0] == "U" else down_temporary_table()
         if t in table and table[t][k] == r:
             return FlawedPuzzle(Puzzle(n, labels, B.rhombi), ("temporary", c1))
     r1 = B.rhombus_at(c1) if c1 is not None else None
@@ -559,7 +523,8 @@ def mutate(P: FlawedPuzzle, choice: int = 0) -> FlawedPuzzle:
 
 
 def mutations(P: FlawedPuzzle) -> list[FlawedPuzzle]:
-    return [mutate(P, i) for i in range(len(P.resolutions()))]
+    """The mutations of ``P``, one per resolution."""
+    return [recognize_flaw(phi(R)) for R in P.resolutions()]
 
 
 def mutation_component(
@@ -698,18 +663,12 @@ def enumerate_flawed(
 ) -> Iterator[FlawedPuzzle]:
     """All flawed puzzles whose outer boundary is ``(u, v, w)``:
     gash pairs on each border, marked scabs, and temporary pieces."""
-    for border, outer in (("u", u), ("v", v)):
-        for ce in covers(outer):
-            bounds = (ce.after, v, w) if border == "u" else (u, ce.after, w)
-            positions = tuple(
-                sorted((i + 1, outer[i]) for i in (ce.i, ce.j))
-            )
-            for P in enumerate_puzzles(*bounds):
-                yield FlawedPuzzle(P, ("gashpair", (border, positions)))
-    for ce in cocovers(w):
-        positions = tuple(sorted((i + 1, w[i]) for i in (ce.i, ce.j)))
-        for P in enumerate_puzzles(u, v, ce.before):
-            yield FlawedPuzzle(P, ("gashpair", ("w", positions)))
+    outers = {"u": u, "v": v, "w": w}
+    # a gash pair's inner strings are a Bruhat neighbour of (u, v, w)
+    for border, ce, inner in neighbours(u, v, w):
+        positions = tuple(sorted((i + 1, outers[border][i]) for i in (ce.i, ce.j)))
+        for P in enumerate_puzzles(*inner):
+            yield FlawedPuzzle(P, ("gashpair", (border, positions)))
     for P in enumerate_puzzles(u, v, w):
         for x, yy in scab_positions(P):
             yield FlawedPuzzle(P, ("scab", (x, yy)))

@@ -54,8 +54,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Collection, Iterator
 
-from .algebra import YPoly, y
-from .board import Edge, InvariantViolation, Puzzle, rhombus_position
+from .algebra import YPoly
+from .board import Edge, InvariantViolation, Puzzle, rhombus_weight
 from .labels import SIMPLE, PieceTables, tables
 from .strings import String012, all_strings, content
 
@@ -203,7 +203,6 @@ def _bottom_rows(u: String012, v: String012) -> dict[tuple[int, ...], YPoly]:
         carry_next = None if bottom else u[n - yy - 2]
         for x in range(yy + 1):
             border = v[yy] if x == yy else None
-            i, j = rhombus_position(x, yy, n)
             succ: dict[tuple, list[tuple]] = {}
             rhombi: set[tuple] = set()
             for state in frontier:
@@ -218,7 +217,7 @@ def _bottom_rows(u: String012, v: String012) -> dict[tuple[int, ...], YPoly]:
                     keys.append(key)
                     if item[0] == "R":
                         rhombi.add(key)
-            graph.append((succ, rhombi, y(j) - y(i)))
+            graph.append((succ, rhombi, rhombus_weight(x, yy, n)))
             frontier = {key for keys in succ.values() for key in keys}
     # 2. backward: a state is live if it has a path to a bottom row of
     # simple labels (content is conserved, so these are the strings of
@@ -238,14 +237,14 @@ def _bottom_rows(u: String012, v: String012) -> dict[tuple[int, ...], YPoly]:
     # step; every rhombus placed in a step has the same weight, so it
     # multiplies each merged sum once
     states = {start: YPoly.const(1)} if start in live else {}
-    for succ, rhombi, rhombus_weight in graph:
+    for succ, rhombi, factor in graph:
         step: dict[tuple, YPoly] = {}
         for state, wt in states.items():
             for key in succ[state]:
                 step[key] = step[key] + wt if key in step else wt
         for key, wt in step.items():
             if key in rhombi:
-                step[key] = wt * rhombus_weight
+                step[key] = wt * factor
         states = step
     return {tuple(label for _, label in row): wt for (_, _, row), wt in states.items()}
 

@@ -219,6 +219,22 @@ def cocovers(w: String012) -> list[CoverEdge]:
     return out
 
 
+def neighbours(u: String012, v: String012, w: String012) -> list[tuple]:
+    """The Bruhat neighbours of ``(u, v, w)``: ``(border, cover,
+    triple)`` for each cover out of ``u``, then out of ``v``, then into
+    ``w``, where ``triple`` is ``(u, v, w)`` with that border's string
+    moved to the cover's other end.
+
+    >>> [(b, *map(fmt, t)) for b, _, t in neighbours(parse("01"), parse("01"), parse("10"))]
+    [('u', '10', '01', '10'), ('v', '01', '10', '10'), ('w', '01', '01', '01')]
+    """
+    return (
+        [("u", c, (c.after, v, w)) for c in covers(u)]
+        + [("v", c, (u, c.after, w)) for c in covers(v)]
+        + [("w", c, (u, v, c.before)) for c in cocovers(w)]
+    )
+
+
 def bruhat_leq(u: String012, w: String012) -> bool:
     """Bruhat order comparison by the tableau criterion, in O(n).
 

@@ -11,9 +11,9 @@ a new ``Puzzle`` and ``GashedPuzzle``.
 
 from __future__ import annotations
 
-from twostep.board import InvariantViolation, Puzzle, cell_sides, rhombus_outer_edges
+from twostep.board import InvariantViolation, Puzzle, cell_ahead, cell_sides, rhombus_outer_edges
 from twostep.labels import OUT_DOWN, OUT_UP, PieceTables, tables
-from twostep.mutation import GashedPuzzle, PlacedGash, cell_ahead
+from twostep.mutation import GashedPuzzle, PlacedGash
 
 
 def _step(G: GashedPuzzle, g: PlacedGash, t: PieceTables):

@@ -13,6 +13,9 @@ from twostep.board import (
     Puzzle,
     all_edges,
     border_edge,
+    border_position,
+    cell_ahead,
+    cell_sides,
     down_cell_edges,
     down_cells,
     edge_weight,
@@ -23,9 +26,11 @@ from twostep.board import (
     rhombus_inner_edge,
     rhombus_outer_edges,
     rhombus_position,
+    rhombus_weight,
     up_cell_edges,
     up_cells,
 )
+from twostep.labels import IN_DOWN, IN_UP
 from twostep.search import enumerate_puzzles
 from twostep.strings import all_strings, bruhat_leq, contents_up_to, parse
 
@@ -70,6 +75,7 @@ def test_rhombus_position():
     # a vertical rhombus at (x, y) sits at matrix position (x+1, n-y+x)
     assert rhombus_position(0, 1, 4) == (1, 3)
     assert rhombus_position(2, 3, 5) == (3, 4)
+    assert rhombus_weight(0, 1, 4) == y(3) - y(1)
 
 
 def test_demo_puzzle_valid():
@@ -269,3 +275,27 @@ def test_boundary_reads_border_edges():
         )
         assert P.boundary() == expect
     assert count == 23913
+
+
+def test_border_position_inverts_border_edge():
+    for n in range(1, 9):
+        for b in "uvw":
+            for i in range(1, n + 1):
+                edge, d = border_edge(b, i, n)
+                assert border_position(edge, n) == (b, i)
+                # a gash pointing in has a cell ahead and none behind
+                assert cell_ahead(edge, d, n) is not None
+                assert cell_ahead(edge, (d + 3) % 6, n) is None
+    with pytest.raises(ValueError, match="not on the border"):
+        border_position(("H", 0, 0), 2)
+
+
+def test_cell_ahead_reads_cell_sides():
+    for n in range(1, 9):
+        for kind, cells, ins in (("U", up_cells, IN_UP), ("D", down_cells, IN_DOWN)):
+            for x, yy in cells(n):
+                c = (kind, x, yy)
+                for s in range(3):
+                    assert cell_ahead(cell_sides(c)[s], ins[s], n) == c
+    with pytest.raises(ValueError, match="not perpendicular"):
+        cell_ahead(("H", 0, 0), 0, 2)

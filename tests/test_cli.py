@@ -49,10 +49,24 @@ def test_product_json(capsys):
     assert json.loads(out)["12001"] == "-1*y1 + 1*y4"
 
 
-def test_product_content_mismatch_is_input_error(capsys):
-    code, _, err = run(capsys, "product", "--u", "012", "--v", "122")
-    assert code == 2
-    assert "input error" in err
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            ["product", "--u", "012", "--v", "122"], "u and v have different contents",
+            id="product",
+        ),
+        pytest.param(
+            ["puzzles", "--u", "012", "--v", "021", "--w", "122"],
+            "u, v, w have different contents",
+            id="puzzles",
+        ),
+    ],
+)
+def test_content_mismatch_is_input_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"input error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -275,16 +289,22 @@ def test_mutate_bad_input_exit_codes(capsys, tmp_path, scab_file, argv, code):
     assert err.startswith(("input error", "semantic error"))
 
 
-@pytest.mark.parametrize("side, code", [(NVARS, 3), (NVARS + 1, 2)])
-def test_mutate_region_past_the_variables(capsys, tmp_path, side, code):
-    # two triangles label the four scab edges and leave the rest of the
-    # region unlabeled; a side past the variables is rejected on reading,
-    # before validation lists every unlabeled edge of the region
+def mostly_unlabeled(tmp_path, side):
+    """A puzzle file of the given side whose two triangles label the four
+    edges of the scab at (0, 0) and leave the rest of the region unlabeled."""
     up = {"kind": "triangle", "orientation": 0, "anchor": [0, 0], "labels": [0, 1, 2]}
     down = {"kind": "triangle", "orientation": 3, "anchor": [0, 1], "labels": [1, 0, 2]}
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"region": [side, 0] * 3, "pieces": [up, down]}))
-    got, out, err = run(capsys, "mutate", "--puzzle", str(path), "--flaw", "scab:0,0")
+    return str(path)
+
+
+@pytest.mark.parametrize("side, code", [(NVARS, 3), (NVARS + 1, 2)])
+def test_mutate_region_past_the_variables(capsys, tmp_path, side, code):
+    # a side past the variables is rejected on reading, before validation
+    # lists every unlabeled edge of the region
+    path = mostly_unlabeled(tmp_path, side)
+    got, out, err = run(capsys, "mutate", "--puzzle", path, "--flaw", "scab:0,0")
     assert (got, out) == (code, "")
     if code == 2:
         assert err == (
@@ -293,6 +313,19 @@ def test_mutate_region_past_the_variables(capsys, tmp_path, side, code):
         )
     else:
         assert err.startswith("semantic error: unlabeled edge")
+
+
+def test_mutate_shows_the_first_problems(capsys, tmp_path):
+    # the side-64 region has 6,235 unlabeled edges, and the marked pair
+    # is no scab: the first 20 problems are shown, then their count
+    path = mostly_unlabeled(tmp_path, NVARS)
+    got, out, err = run(capsys, "mutate", "--puzzle", path, "--flaw", "scab:0,0")
+    assert (got, out) == (3, "")
+    assert len(err.encode()) < 4096
+    problems = err.removeprefix("semantic error: ").removesuffix("\n").split("; ")
+    assert len(problems) == 21
+    assert all(p.startswith("unlabeled edge") for p in problems[:20])
+    assert problems[20] == "… and 6216 more"
 
 
 _SMALL = st.integers(-2, 10)
@@ -372,11 +405,25 @@ def test_quantum_worked_example(capsys):
     assert "q^1 [1]: -1*y1 + 1*y5" in lines
 
 
-def test_quantum_bad_partition_is_input_error(capsys):
-    code, _, _ = run(
-        capsys, "quantum", "--m", "2", "--n", "5", "--lambda", "9", "--mu", "1"
+@pytest.mark.parametrize(
+    "m, lam, message",
+    [
+        pytest.param(2, "9", "partition '9' does not fit in a 2 x 3 box", id="partition-too-wide"),
+        pytest.param(
+            2, "2,x", "bad partition '2,x': invalid literal for int() with base 10: 'x'",
+            id="partition-not-int",
+        ),
+        pytest.param(2, "1,2", "'1,2' is not a partition", id="partition-increasing"),
+        pytest.param(0, "1", "need 0 < m < n", id="m-zero"),
+        pytest.param(5, "1", "need 0 < m < n", id="m-is-n"),
+    ],
+)
+def test_quantum_bad_input_is_input_error(capsys, m, lam, message):
+    code, out, err = run(
+        capsys, "quantum", "--m", str(m), "--n", "5", "--lambda", lam, "--mu", "1"
     )
-    assert code == 2
+    assert (code, out) == (2, "")
+    assert err == f"input error: {message}\n"
 
 
 def test_verify_pieces(capsys):

@@ -12,10 +12,10 @@ import textwrap
 
 import pytest
 
-from twostep import algebra, board, cli, mutation, search, strings
+from twostep import algebra, aura, board, cli, mutation, search, strings
 from twostep.algebra import Tower
 from twostep.board import border_edge, rhombus_position
-from twostep.strings import cocovers, covers
+from twostep.strings import cocovers, covers, neighbours
 
 
 def source_mutant(func, old, new):
@@ -64,6 +64,7 @@ MUTANTS = [
     ("exact-divide-lowers-wrong-field", strings, "exact_divide", DIVIDE_LOWERS_WRONG_FIELD, ORACLE),
     ("one-special-lists-nothing", mutation, "enumerate_one_special", lambda *key: iter(()),
      MUTATION),
+    ("neighbours-drops-last", aura, "neighbours", lambda *key: neighbours(*key)[:-1], AURA),
 ]
 
 

@@ -131,7 +131,7 @@ def test_identity_is_unit():
     for v in S:
         exp = product_expansion(e, v)
         assert set(exp) == {v}
-        assert exp[v].coeff(()) == 1 and exp[v].degree() == 0
+        assert exp[v].tuple_terms() == {(): 1}
 
 
 def test_deterministic_order():

@@ -172,7 +172,7 @@ def test_oracle_base_cases():
     w = parse("120")
     assert oracle_constant(w, w, w) == extreme_constant(w)
     u = identity_string(1, 2, 3)
-    assert oracle_constant(u, w, w).coeff(()) == 1  # identity acts as unit
+    assert oracle_constant(u, w, w).tuple_terms().get((), 0) == 1  # identity acts as unit
     assert not oracle_constant(w, w, u)  # w not <= u
 
 
