@@ -137,9 +137,15 @@ class YPoly:
     @classmethod
     def _canonical(cls, terms: Mapping[int, int]) -> "YPoly":
         """Wrap packed ``terms``, dropping zero coefficients; the ring
-        operations build their results here."""
+        operations that can cancel build their results here."""
+        return cls._wrap({m: c for m, c in terms.items() if c})
+
+    @classmethod
+    def _wrap(cls, terms: dict[int, int]) -> "YPoly":
+        """Wrap packed ``terms`` that hold no zero coefficient, without a
+        copy."""
         p = cls.__new__(cls)
-        p.terms = {m: c for m, c in terms.items() if c}
+        p.terms = terms
         return p
 
     # -- constructors ------------------------------------------------------
@@ -183,15 +189,21 @@ class YPoly:
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self) -> "YPoly":
-        return YPoly._canonical({m: -c for m, c in self.terms.items()})
+        return YPoly._wrap({m: -c for m, c in self.terms.items()})
 
     def __add__(self, other) -> "YPoly":
         if isinstance(other, int):
             other = YPoly.const(other)
+        # a coefficient that reaches 0 leaves at once: each monomial of
+        # ``other`` is visited once, so none comes back
         d = dict(self.terms)
         for m, c in other.terms.items():
-            d[m] = d.get(m, 0) + c
-        return YPoly._canonical(d)
+            c += d.get(m, 0)
+            if c:
+                d[m] = c
+            else:
+                del d[m]
+        return YPoly._wrap(d)
 
     __radd__ = __add__
 
@@ -205,7 +217,9 @@ class YPoly:
 
     def __mul__(self, other) -> "YPoly":
         if isinstance(other, int):
-            return YPoly._canonical({m: other * c for m, c in self.terms.items()})
+            if not other:
+                return YPoly.zero()
+            return YPoly._wrap({m: other * c for m, c in self.terms.items()})
         d: dict[int, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():

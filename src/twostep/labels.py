@@ -410,13 +410,14 @@ def _parse_tables(text: str) -> PieceTables:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if parts[0] == "triangle" and len(parts) == 4:
-            tris.append(tuple(int(x) for x in parts[1:]))  # type: ignore[arg-type]
-        elif parts[0] == "rhombus" and len(parts) == 3:
-            rhos.append((int(parts[1]), int(parts[2])))
-        else:
+        kind, *sides = line.split()
+        if (kind, len(sides)) not in (("triangle", 3), ("rhombus", 2)):
             raise ValueError(f"bad piece-table line: {line!r}")
+        labels = tuple(int(x) for x in sides)
+        # the row-state engine packs an item into one byte (search._item_id)
+        if not set(labels) <= set(LABELS):
+            raise ValueError(f"piece-table label outside 0..7: {line!r}")
+        (tris if kind == "triangle" else rhos).append(labels)  # type: ignore[arg-type]
     return PieceTables(tuple(tris), tuple(rhos))
 
 

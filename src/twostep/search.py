@@ -11,10 +11,12 @@ the states take their moves from one table, ``PieceTables.step_moves``,
 built once per piece-table value and shared by every call:
 
 - ``product_expansion(u, v)`` computes every ``C^w_{u,v}`` in three
-  passes over the layered graph of states.  A forward pass with no
-  weights records each step's states and their successors; a backward
-  pass keeps the live states, those with a path to a bottom row of
-  simple labels (the strings ``w``); a weighted pass over the live
+  passes over the layered graph of states, each state packed into one
+  int (a byte per item, see ``_bottom_rows``), so a move is one
+  addition.  A forward pass with no weights records each step's states
+  and the moves' deltas; a backward pass keeps the live states, those
+  with a path to a bottom row of simple labels (the strings ``w``),
+  with their live successors only; a weighted pass over the live
   states merges equal states after every step and sums their weights.
   This is the transfer-matrix view of puzzles (Zinn-Justin,
   "Littlewood-Richardson coefficients and integrable tilings", EJC 16,
@@ -57,7 +59,7 @@ from typing import Collection, Iterator
 from .algebra import YPoly
 from .board import Edge, InvariantViolation, Puzzle, rhombus_weight
 from .labels import SIMPLE, PieceTables, tables
-from .strings import String012, all_strings, content
+from .strings import String012, content
 
 __all__ = [
     "enumerate_puzzles",
@@ -178,75 +180,101 @@ def product_expansion(u: String012, v: String012) -> dict[String012, YPoly]:
     if content(u) != content(v):
         return {}
     bottom = _bottom_rows(u, v)
-    out: dict[String012, YPoly] = {}
-    for w in all_strings(*content(u)):
-        c = bottom.get(w)
-        if c:
-            out[w] = c
-    return out
+    return {w: bottom[w] for w in sorted(bottom) if bottom[w]}
+
+
+def _item_id(item: tuple) -> int:
+    """The byte of a row item in a packed state: ``("H", l)`` is ``l``,
+    ``("R", p, q)`` is ``8 + 8p + q``."""
+    return item[1] if item[0] == "H" else 8 + 8 * item[1] + item[2]
+
+
+def _item(i: int) -> tuple:
+    """The row item whose byte is ``i``; inverse of ``_item_id``."""
+    return ("H", i) if i < 8 else ("R", (i - 8) >> 3, (i - 8) & 7)
 
 
 def _bottom_rows(u: String012, v: String012) -> dict[tuple[int, ...], YPoly]:
     """The summed weight of all tilings with left and right borders
-    ``u`` and ``v`` and a bottom row of simple labels, by bottom row."""
+    ``u`` and ``v`` and a bottom row of simple labels, by bottom row.
+
+    A state is one int: byte 0 is the carry, byte ``k+1`` the item in
+    slot ``k`` (``_item_id``), which holds row ``y`` left of the step
+    and row ``y-1`` from it on.  The step at ``x`` replaces slot ``x``,
+    so a move adds a delta that depends only on the carry and the item
+    over ``D(x, y)``, the bytes that ``mask`` keeps."""
     n = len(u)
     moves = tables().step_moves
-    # 1. forward, no weights: per step, each state's successors (one per
-    # move, in move order), those a rhombus enters, and the rhombus
-    # weight.  The step that ends row y starts row y+1: its state has
-    # the carry A(0, y+1) and the finished row above.
-    start = ((), u[-1] if n else None, ())
-    graph: list[tuple[dict, set, YPoly]] = []
+    # 1. forward, no weights: per step, its states and, per (carry,
+    # item over) key, the deltas of its moves in move order.  The step
+    # that ends row y fills slot y and sets the carry A(0, y+1).
+    start = u[-1] if n else 0
+    graph: list[tuple] = []  # per step: (states, shift, mask, deltas, cell)
     frontier = {start}
     for yy in range(n):
         bottom = yy == n - 1
-        carry_next = None if bottom else u[n - yy - 2]
+        carry_next = 0 if bottom else u[n - yy - 2]
         for x in range(yy + 1):
             border = v[yy] if x == yy else None
-            succ: dict[tuple, list[tuple]] = {}
-            rhombi: set[tuple] = set()
+            shift = 8 * (x + 1)
+            mask = 0xFF | 0xFF << shift
+            deltas: dict[int, tuple[int, ...]] = {}
+            nxt: set[int] = set()
             for state in frontier:
-                done, carry, above = state
-                over = above[0] if above else None
-                succ[state] = keys = []
-                for _, item, ne, _ in moves[carry, over, border, bottom, False]:
+                key = state & mask
+                ds = deltas.get(key)
+                if ds is None:
+                    carry, over = key & 0xFF, key >> shift
                     if border is None:
-                        key = (done + (item,), ne, above[1:])
+                        ds = tuple(
+                            ((_item_id(item) - over) << shift) + ne - carry
+                            for _, item, ne, _ in moves[carry, _item(over), None, bottom, False]
+                        )
                     else:
-                        key = ((), carry_next, done + (item,))
-                    keys.append(key)
-                    if item[0] == "R":
-                        rhombi.add(key)
-            graph.append((succ, rhombi, rhombus_weight(x, yy, n)))
-            frontier = {key for keys in succ.values() for key in keys}
+                        ds = tuple(
+                            (_item_id(item) << shift) + carry_next - carry
+                            for _, item, _, _ in moves[carry, None, border, bottom, False]
+                        )
+                    deltas[key] = ds
+                nxt.update(state + d for d in ds)
+            graph.append((frontier, shift, mask, deltas, (x, yy)))
+            frontier = nxt
     # 2. backward: a state is live if it has a path to a bottom row of
     # simple labels (content is conserved, so these are the strings of
-    # content(u)); keep only live states and their live successors
-    live: Collection[tuple] = {
-        state for state in frontier if all(label in SIMPLE for _, label in state[2])
+    # content(u)); per step, the live states and their live successors
+    live: Collection[int] = {
+        state
+        for state in frontier
+        if all(label in SIMPLE for label in state.to_bytes(n + 1, "little")[1:])
     }
-    for succ, _, _ in reversed(graph):
-        for state, keys in list(succ.items()):
-            keys = [key for key in keys if key in live]
+    passes = []
+    while graph:
+        states, shift, mask, deltas, cell = graph.pop()
+        succ: dict[int, list[int]] = {}
+        for state in states:
+            keys = [key for d in deltas[state & mask] if (key := state + d) in live]
             if keys:
                 succ[state] = keys
-            else:
-                del succ[state]
+        passes.append((succ, shift, cell))
         live = succ
     # 3. weights, on live states only: merge equal states after every
-    # step; every rhombus placed in a step has the same weight, so it
-    # multiplies each merged sum once
-    states = {start: YPoly.const(1)} if start in live else {}
-    for succ, rhombi, factor in graph:
-        step: dict[tuple, YPoly] = {}
-        for state, wt in states.items():
+    # step; a state holds a rhombus in the slot just filled exactly when
+    # that byte is 8 or more, and every rhombus placed in a step has the
+    # same weight, so it multiplies each merged sum once
+    weights = {start: YPoly.const(1)} if start in live else {}
+    for succ, shift, (x, yy) in reversed(passes):
+        step: dict[int, YPoly] = {}
+        for state, wt in weights.items():
             for key in succ[state]:
                 step[key] = step[key] + wt if key in step else wt
+        factor = None
         for key, wt in step.items():
-            if key in rhombi:
+            if key >> shift & 0xFF >= 8:
+                if factor is None:
+                    factor = rhombus_weight(x, yy, n)
                 step[key] = wt * factor
-        states = step
-    return {tuple(label for _, label in row): wt for (_, _, row), wt in states.items()}
+        weights = step
+    return {tuple(state.to_bytes(n + 1, "little")[1:]): wt for state, wt in weights.items()}
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from .algebra import Tower, YPoly, exact_divide, y
@@ -100,9 +100,23 @@ def identity_string(a: int, b: int, n: int) -> String012:
 
 
 def all_strings(a: int, b: int, n: int) -> list[String012]:
-    """All 012-strings of type (a, b, n), sorted lexicographically."""
-    base = identity_string(a, b, n)
-    return sorted(set(permutations(base)))
+    """All 012-strings of type (a, b, n), sorted lexicographically: the
+    positions of the 0s, then those of the 1s among the rest.
+
+    >>> [fmt(w) for w in all_strings(1, 2, 3)]
+    ['012', '021', '102', '120', '201', '210']
+    """
+    out = []
+    for zeros in combinations(range(n), a):
+        rest = [i for i in range(n) if i not in zeros]
+        for ones in combinations(rest, b - a):
+            w = [2] * n
+            for i in zeros:
+                w[i] = 0
+            for i in ones:
+                w[i] = 1
+            out.append(tuple(w))
+    return sorted(out)
 
 
 def contents_up_to(max_n: int) -> Iterator[tuple[int, int, int]]:

@@ -85,6 +85,19 @@ class TestYPoly:
         assert p - p == YPoly.zero()
 
     @given(ypolys(), ypolys())
+    def test_sums_drop_cancelled_terms(self, p, q):
+        # as if the sum were formed whole and then filtered: the same
+        # terms in the same order
+        for r in (p, -q):
+            want = dict(p.terms)
+            for m, c in r.terms.items():
+                want[m] = want.get(m, 0) + c
+            got = p + r
+            assert list(got.terms.items()) == [(m, c) for m, c in want.items() if c]
+        assert (p + -p).terms == {}
+        assert (p + q - q).terms == p.terms
+
+    @given(ypolys(), ypolys())
     def test_degree_of_product(self, p, q):
         if p and q:
             assert (p * q).degree() == p.degree() + q.degree()

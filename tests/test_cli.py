@@ -448,25 +448,46 @@ def test_verify_pieces_reports_invalid_tables(capsys, tmp_path, monkeypatch):
     assert data["checks"][0]["rhs"] == "scab (1, 4, 3, 6) has 0 resolutions"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        pytest.param(["product", "--u", "01", "--v", "10"], id="product"),
-        pytest.param(["puzzles", "--u", "01", "--v", "10", "--w", "10"], id="puzzles"),
-        pytest.param(["mutate", "--puzzle", "p.json", "--flaw", "scab:0,0"], id="mutate"),
-        pytest.param(
-            ["quantum", "--m", "1", "--n", "2", "--lambda", "1", "--mu", "1"], id="quantum"
-        ),
-        pytest.param(["verify", "--suite", "pieces"], id="verify-pieces"),
-        pytest.param(["verify", "--suite", "gashes"], id="verify-gashes"),
-    ],
-)
+# every command, `verify --suite pieces` included, reads the tables first
+TABLE_COMMANDS = [
+    pytest.param(["product", "--u", "01", "--v", "10"], id="product"),
+    pytest.param(["puzzles", "--u", "01", "--v", "10", "--w", "10"], id="puzzles"),
+    pytest.param(["mutate", "--puzzle", "p.json", "--flaw", "scab:0,0"], id="mutate"),
+    pytest.param(
+        ["quantum", "--m", "1", "--n", "2", "--lambda", "1", "--mu", "1"], id="quantum"
+    ),
+    pytest.param(["verify", "--suite", "pieces"], id="verify-pieces"),
+    pytest.param(["verify", "--suite", "gashes"], id="verify-gashes"),
+]
+
+
+@pytest.mark.parametrize("argv", TABLE_COMMANDS)
 def test_unreadable_table_override_is_input_error(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.setenv("PUZZLE_TABLE_PATH", str(tmp_path / "missing.txt"))
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("input error: cannot read piece tables: ")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "line, bad",
+    [
+        pytest.param("triangle 0 0 0", "triangle 0 0 12", id="triangle-12"),
+        pytest.param("rhombus 1 0", "rhombus 40 0", id="rhombus-40"),
+    ],
+)
+@pytest.mark.parametrize("argv", TABLE_COMMANDS)
+def test_out_of_range_label_is_input_error(capsys, tmp_path, monkeypatch, argv, line, bad):
+    # a label past 7 once died in `labels.dual_label` with a KeyError
+    text = table_text()
+    assert f"\n{line}\n" in text
+    path = tmp_path / "tables.txt"
+    path.write_text(text.replace(f"\n{line}\n", f"\n{bad}\n"))
+    monkeypatch.setenv("PUZZLE_TABLE_PATH", str(path))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"input error: cannot read piece tables: piece-table label outside 0..7: {bad!r}\n"
 
 
 @pytest.mark.parametrize(

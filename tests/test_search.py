@@ -12,7 +12,7 @@ from conftest import table_text
 from reference_search import restriction_puzzle
 from twostep import search
 from twostep.aura import check_recursion, check_two_sums
-from twostep.labels import tables
+from twostep.labels import LABELS, PieceTables, tables
 from twostep.mutation import down_temporary_table, enumerate_flawed, temporary_table
 from twostep.strings import (
     all_strings,
@@ -277,6 +277,23 @@ def test_step_moves_have_one_owner(monkeypatch, tmp_path):
     assert old.step_moves == filled
     assert memo_holds(old, *keys)
     assert all(search._listing(old, *key) is L for key, L in zip(keys, listed_before))
+
+
+def test_row_items_pack_into_one_byte():
+    # every item that a move can place or find over D(x, y), over every
+    # label, is one byte of a packed product state, and comes back; a
+    # fresh table value keeps the shared step moves as they are
+    t = tables()
+    moves = PieceTables(t.triangles, t.rhombi).step_moves
+    overs = [None, *(("H", l) for l in LABELS), *(("R", p, q) for p in LABELS for q in LABELS)]
+    items = set(overs[1:])
+    for key in itertools.product(LABELS, overs, (None, *LABELS), (False, True), (False, True)):
+        items.update(item for _, item, _, _ in moves[key])
+    assert len(items) == len(overs) - 1
+    ids = {search._item_id(item) for item in items}
+    assert len(ids) == len(items) and ids <= set(range(256))
+    for item in items:
+        assert search._item(search._item_id(item)) == item
 
 
 def test_empty_boundary():

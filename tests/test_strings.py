@@ -50,6 +50,15 @@ def test_content_counts(s):
     assert n == len(s)
 
 
+def test_all_strings_are_the_sorted_permutations():
+    # the definition, by permutations, takes O(n!) time
+    for n in range(9):
+        for b in range(n + 1):
+            for a in range(b + 1):
+                want = sorted(set(itertools.permutations(identity_string(a, b, n))))
+                assert all_strings(a, b, n) == want, (a, b, n)
+
+
 def test_all_strings_multinomial():
     for a, b, n in [(1, 2, 4), (2, 3, 5), (1, 1, 3)]:
         count = math.factorial(n) // (
