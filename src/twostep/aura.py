@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .algebra import Tower
-from .board import Puzzle, cell_sides, edge_weight, rhombus_weight
+from .board import Puzzle, border_edge, cell_sides, edge_weight, rhombus_weight
 from .labels import IN_DOWN, IN_UP, tables
 from .mutation import (
     AbstractGash,
@@ -157,13 +157,15 @@ def equivariant_flawed_aura(P: FlawedPuzzle) -> Tower:
 # Executable identities (each returns {check, instance, pass, lhs, rhs})
 
 
-# per border, the power of zeta in a cover's gash-pair aura and recursion term
-_COVER_ZETA = {"u": 5, "v": 1, "w": 9}
+# per border, the direction d of a gash there pointing into the puzzle: the
+# border's aura sums carry zeta^(2d+1), and a cover's gash pair zeta^(2d+7)
+_INWARD = {border: border_edge(border, 1, 1)[1] for border in "uvw"}
 
 
 def _border_form(u: String012, v: String012, w: String012) -> Tower:
     """``C_u zeta^11 + C_v zeta^7 + C_w zeta^3``."""
-    return c_form(u) * Tower.zeta(11) + c_form(v) * Tower.zeta(7) + c_form(w) * Tower.zeta(3)
+    terms = [c_form(s) * Tower.zeta(2 * d + 1) for s, d in zip((u, v, w), _INWARD.values())]
+    return sum(terms, Tower.zero())
 
 
 def _report(check: str, instance: str, lhs: Tower | list, rhs: Tower | list) -> dict:
@@ -208,7 +210,7 @@ def check_boundary_aura(P: Puzzle) -> dict:
     gamma = gamma_form(a, b, n)
     table = tables().aura
     sums, targets = [], []
-    for s, d in ((u, 5), (v, 3), (w, 1)):
+    for s, d in zip((u, v, w), _INWARD.values()):
         total = Tower.zero()
         for letter in s:
             total = total + table[(d, letter)]
@@ -261,7 +263,7 @@ def check_cover_aura(P: FlawedPuzzle) -> dict:
     (left border), ``zeta * delta`` (right), or ``zeta^9 * delta``
     (bottom), where ``delta`` is the cover's delta form."""
     border, ce = P.cover_edge()
-    rhs = Tower.zeta(_COVER_ZETA[border]) * ce.delta_tower()
+    rhs = Tower.zeta(2 * _INWARD[border] + 7) * ce.delta_tower()
     inst = f"gash pair on border {border}: {fmt(ce.before)} -> {fmt(ce.after)}"
     return _report("cover gash aura", inst, flawed_aura(P), rhs)
 
@@ -299,7 +301,7 @@ def check_recursion(u: String012, v: String012, w: String012) -> dict:
     rhs = Tower.zero()
     for border, ce, triple in neighbours(u, v, w):
         term = Tower.from_ypoly(structure_constant(*triple))
-        rhs = rhs + Tower.zeta(_COVER_ZETA[border]) * ce.delta_tower() * term
+        rhs = rhs + Tower.zeta(2 * _INWARD[border] + 7) * ce.delta_tower() * term
     inst = f"recursion at ({fmt(u)}, {fmt(v)}, {fmt(w)})"
     return _report("aura recursion", inst, lhs, rhs)
 

@@ -4,6 +4,7 @@ This module owns every decision about the triangle's geometry: the
 cells and their sides (``cell_sides``), the cell a gash points at
 (``cell_ahead``), the border edges and their inward directions
 (``border_edge``, inverted by ``border_position``), the rhombus weight,
+gash directions and edge midpoints in the plane (``edge_midpoint``),
 and the walk over a tiling's pieces (``Puzzle.pieces``) that
 validation, JSON and SVG share.
 
@@ -199,6 +200,27 @@ def border_position(edge: Edge, n: int) -> tuple[str, int]:
     if border_edge(border, i, n)[0] != edge:
         raise ValueError(f"edge {edge} is not on the border")
     return border, i
+
+
+# A gash direction d makes the angle (2d + 1) * 30 degrees with the x axis:
+# it is (DIR_C[d] * sqrt(3) / 2, DIR_S[d] / 2).
+DIR_C = (1, 0, -1, -1, 0, 1)
+DIR_S = (1, 2, 1, -1, -2, -1)
+
+
+def edge_midpoint(e: Edge) -> tuple[int, int]:
+    """Integers ``(X, Y)`` placing an edge's midpoint at the plane point
+    ``(X / 4, Y * sqrt(3) / 4)``, where vertex ``(x, y)`` sits at
+    ``(x - y / 2, -y * sqrt(3) / 2)``."""
+    kind, x, yy = e
+    # xs, ys: coordinate sums of the edge's two end vertices
+    if kind == "A":
+        xs, ys = 2 * x, 2 * yy + 1
+    elif kind == "B":
+        xs, ys = 2 * x + 1, 2 * yy + 1
+    else:
+        xs, ys = 2 * x + 1, 2 * yy + 2
+    return (2 * xs - ys, -ys)
 
 
 class InvariantViolation(RuntimeError):

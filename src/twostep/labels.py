@@ -357,14 +357,15 @@ class _StepMoves(dict):
     """``moves[carry, over, preset, bottom, special]``: the moves
     ``(B(x, y), item of U(x, y), A(x+1, y), "U"|"D"|None)`` of a step of
     the row-state engine, the last naming the cell of a temporary piece.
-    ``over`` is the item above ``D(x, y)``, None if there is no such
-    cell; ``preset`` is the label the right border gives ``B(x, y)``, or
-    None, and a rhombus ``over`` presets it too.  ``bottom`` is False
-    above the last row, True in it, or the item ``("H", label)`` the last
-    row must have at this step; ``special`` allows temporary pieces.
-    Order: ordinary up-triangles, temporary ones sorted, rhombi; under
-    each, the ordinary down-triangle, then temporary ones sorted.  An
-    entry is built on its first lookup and kept."""
+    An item is one byte: an up-triangle's bottom label, or ``8 + 8p + q``
+    for the top half of a rhombus ``(p, q)``.  ``over`` is the item above
+    ``D(x, y)``, or None; ``preset`` is the label the right border gives
+    ``B(x, y)``, or None, and a rhombus ``over`` presets it too.
+    ``bottom`` is None above the last row, and in it the labels the step
+    may place; ``special`` allows temporary pieces.  Order: ordinary
+    up-triangles, temporary ones sorted, rhombi; under each, the ordinary
+    down-triangle, then temporary ones sorted.  An entry is built on its
+    first lookup and kept."""
 
     def __init__(self, t: PieceTables):
         super().__init__()
@@ -373,27 +374,27 @@ class _StepMoves(dict):
     def __missing__(self, key: tuple) -> tuple:
         carry, over, preset, bottom, special = key
         t = self._t
-        ups = [(r, ("H", h), None) for r, h in t.up_by_left.get(carry, ())]
+        ups = [(r, h, None) for r, h in t.up_by_left.get(carry, ())]
         if special:
             sp_up, sp_down = sorted(t.temporaries), sorted(t.down_temporaries)
-            ups += [(r, ("H", h), "U") for l, r, h in sp_up if l == carry]
-        if bottom is False:
-            ups += [(p, ("R", p, carry), None) for p in t.rhombi_by_q.get(carry, ())]
-        elif bottom is not True:
-            ups = [m for m in ups if m[1] == bottom]
-        if over is not None and over[0] == "R":
-            preset = over[1]
+            ups += [(r, h, "U") for l, r, h in sp_up if l == carry]
+        if bottom is None:
+            ups += [(p, 8 + 8 * p + carry, None) for p in t.rhombi_by_q.get(carry, ())]
+        else:
+            ups = [m for m in ups if m[1] in bottom]
+        if over is not None and over >= 8:
+            preset = (over - 8) >> 3
         out = []
         for right, item, sp in ups:
             if preset not in (None, right):
                 continue
-            if over is None or over[0] == "R":
+            if over is None or over >= 8:
                 # no D(x, y), or the lower half of the rhombus above
-                out.append((right, item, None if over is None else over[2], sp))
+                out.append((right, item, None if over is None else over & 7, sp))
                 continue
-            downs = [(t.down_by_nw_top.get((right, over[1])), sp)]
+            downs = [(t.down_by_nw_top.get((right, over)), sp)]
             if special and sp is None:
-                downs += [(ne, "D") for nw, ne, top in sp_down if (nw, top) == (right, over[1])]
+                downs += [(ne, "D") for nw, ne, top in sp_down if (nw, top) == (right, over)]
             out += [(right, item, ne, s) for ne, s in downs if ne is not None]
         self[key] = moves = tuple(out)
         return moves
@@ -414,7 +415,7 @@ def _parse_tables(text: str) -> PieceTables:
         if (kind, len(sides)) not in (("triangle", 3), ("rhombus", 2)):
             raise ValueError(f"bad piece-table line: {line!r}")
         labels = tuple(int(x) for x in sides)
-        # the row-state engine packs an item into one byte (search._item_id)
+        # the row-state engine packs an item into one byte (_StepMoves)
         if not set(labels) <= set(LABELS):
             raise ValueError(f"piece-table label outside 0..7: {line!r}")
         (tris if kind == "triangle" else rhos).append(labels)  # type: ignore[arg-type]

@@ -49,6 +49,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .board import (
+    DIR_C,
+    DIR_S,
     Edge,
     InvariantViolation,
     Puzzle,
@@ -56,6 +58,7 @@ from .board import (
     border_position,
     cell_ahead,
     cell_sides,
+    edge_midpoint,
     on_board,
     puzzle_to_json,
     rhombus_outer_edges,
@@ -159,6 +162,11 @@ def temporary_table() -> dict:
 def down_temporary_table() -> dict:
     """Temporary down-triangles ``(nw, ne, top)`` -> resolutions."""
     return tables().down_temporaries
+
+
+def _temporaries(kind: str) -> dict:
+    """The temporary pieces of a ``"U"`` or ``"D"`` cell -> resolutions."""
+    return temporary_table() if kind == "U" else down_temporary_table()
 
 
 def scab_table() -> dict:
@@ -404,8 +412,7 @@ class FlawedPuzzle:
                     out.append(str(e))
         elif kind == "temporary":
             triple = tuple(labels[e] for e in edges)
-            table = temporary_table() if ck == "U" else down_temporary_table()
-            if triple not in table:
+            if triple not in _temporaries(ck):
                 out.append(f"cell {data} does not hold a temporary piece")
             expect = f"invalid {'up' if ck == 'U' else 'down'}-triangle " \
                 f"{triple} at {(x, yy)}"
@@ -435,10 +442,9 @@ class FlawedPuzzle:
             kind = self.flaw[1][0]
             edges = cell_sides(self.flaw[1])
             t = tuple(self.base.labels[e] for e in edges)
-            table = temporary_table() if kind == "U" else down_temporary_table()
             outs = OUT_UP if kind == "U" else OUT_DOWN
             res = []
-            for k, r in enumerate(table[t]):  # side k is preserved
+            for k, r in enumerate(_temporaries(kind)[t]):  # side k is preserved
                 labels = self.base.labels.copy()
                 gashes = set()
                 for s in {0, 1, 2} - {k}:
@@ -490,7 +496,7 @@ def recognize_flaw(G: GashedPuzzle) -> FlawedPuzzle:
         k = ({0, 1, 2} - {s1, s2}).pop()
         t = tuple(labels[e] for e in edges)
         r = tuple(g1.new if i == s1 else g2.new if i == s2 else t[i] for i in range(3))
-        table = temporary_table() if c1[0] == "U" else down_temporary_table()
+        table = _temporaries(c1[0])
         if t in table and table[t][k] == r:
             return FlawedPuzzle(Puzzle(n, labels, B.rhombi), ("temporary", c1))
     r1 = B.rhombus_at(c1) if c1 is not None else None
@@ -583,27 +589,6 @@ def component_to_dot(graph: dict) -> str:
 # Right gashes and the sliding bijection
 
 
-# A gash direction d makes the angle (2d + 1) * 30 degrees with the x axis:
-# it is (C[d] * sqrt(3) / 2, S[d] / 2).
-_DIR_C = (1, 0, -1, -1, 0, 1)
-_DIR_S = (1, 2, 1, -1, -2, -1)
-
-
-def _edge_midpoint(e: Edge) -> tuple[int, int]:
-    """Integers ``(X, Y)`` placing an edge's midpoint at the plane point
-    ``(X / 4, Y * sqrt(3) / 4)``, where vertex ``(x, y)`` sits at
-    ``(x - y / 2, -y * sqrt(3) / 2)``."""
-    kind, x, yy = e
-    # xs, ys: coordinate sums of the edge's two end vertices
-    if kind == "A":
-        xs, ys = 2 * x, 2 * yy + 1
-    elif kind == "B":
-        xs, ys = 2 * x + 1, 2 * yy + 1
-    else:
-        xs, ys = 2 * x + 1, 2 * yy + 2
-    return (2 * xs - ys, -ys)
-
-
 def right_gash(G: GashedPuzzle) -> PlacedGash:
     """The rightmost of the two gashes, as seen by an observer standing
     between them and facing the direction of the gashes.
@@ -613,10 +598,10 @@ def right_gash(G: GashedPuzzle) -> PlacedGash:
     by 8, that product is the integer ``cross``.
     """
     g1, g2 = sorted(G.gashes)
-    X1, Y1 = _edge_midpoint(g1.edge)
-    X2, Y2 = _edge_midpoint(g2.edge)
-    c = _DIR_C[g1.d] + _DIR_C[g2.d]
-    s = _DIR_S[g1.d] + _DIR_S[g2.d]
+    X1, Y1 = edge_midpoint(g1.edge)
+    X2, Y2 = edge_midpoint(g2.edge)
+    c = DIR_C[g1.d] + DIR_C[g2.d]
+    s = DIR_S[g1.d] + DIR_S[g2.d]
     cross = 3 * c * (Y1 - Y2) - s * (X1 - X2)
     if cross == 0:
         raise InvariantViolation("gash positions are collinear with the direction")

@@ -4,31 +4,33 @@ A tiling is built top down, one step per up-cell: the step at ``x`` in
 row ``y`` places ``U(x, y)`` and completes the down-cell ``D(x, y)``
 after it.  The state between steps is ``(items of row y so far, carry,
 unused items of row y-1)``, where the carry is ``A(x+1, y)`` and an
-item is ``("H", label)``, the bottom edge of an up-cell, or
-``("R", p, q)``, the top half of a vertical rhombus whose lower half
+item is one byte: ``label``, the bottom edge of an up-cell, or
+``8 + 8p + q``, the top half of a vertical rhombus whose lower half
 presets ``B(x, y+1) = p`` and ``A(x+1, y+1) = q``.  Both readers of
 the states take their moves from one table, ``PieceTables.step_moves``,
-built once per piece-table value and shared by every call:
+built once per piece-table value and shared by every call; its key
+names the labels that the bottom row may hold:
 
 - ``product_expansion(u, v)`` computes every ``C^w_{u,v}`` in three
   passes over the layered graph of states, each state packed into one
   int (a byte per item, see ``_bottom_rows``), so a move is one
-  addition.  A forward pass with no weights records each step's states
-  and the moves' deltas; a backward pass keeps the live states, those
-  with a path to a bottom row of simple labels (the strings ``w``),
-  with their live successors only; a weighted pass over the live
-  states merges equal states after every step and sums their weights.
+  addition.  A forward pass with no weights, whose last row holds only
+  simple labels (the strings ``w``), records each step's states and
+  the moves' deltas; a backward pass keeps the live states, those with
+  a path to a bottom row, with their live successors only; a weighted
+  pass over the live states merges equal states after every step and
+  sums their weights.
   This is the transfer-matrix view of puzzles (Zinn-Justin,
   "Littlewood-Richardson coefficients and integrable tilings", EJC 16,
   2009; Knutson-Zinn-Justin, "Schubert puzzles and integrability I",
   arXiv:1706.10019).
-- ``enumerate_puzzles(u, v, w)`` walks the states depth first with the
-  bottom row fixed to ``w``, and ``enumerate_one_special`` is the same
-  walk with one more state bit, "the temporary piece is used" (the one
-  non-puzzle piece a flawed puzzle can hold).  They serve single
-  triples (``structure_constant``, which equals the recursion-oracle
-  value, see ``strings.oracle_constant``) and the mutation and aura
-  checks.
+- ``enumerate_puzzles(u, v, w)`` walks the states depth first, each
+  bottom-row step allowed only its label of ``w``, and
+  ``enumerate_one_special`` is the same walk with one more state bit,
+  "the temporary piece is used" (the one non-puzzle piece a flawed
+  puzzle can hold).  They serve single triples (``structure_constant``,
+  which equals the recursion-oracle value, see
+  ``strings.oracle_constant``) and the mutation and aura checks.
 
 A sweep lists each triple's neighbours too (a gash-pair flaw is a
 puzzle of a neighbouring boundary, and the aura recursion reads their
@@ -113,7 +115,7 @@ def _walk(
     # per step: the label the right border gives B(x, y), the bottom-row
     # key of the moves, and the carry A(0, y+1) after the last step of a row
     border = [v[yy] if x == yy else None for x, yy in steps]
-    bottom = [yy == n - 1 and ("H", w[x]) for x, yy in steps]
+    bottom = [(w[x],) if yy == n - 1 else None for x, yy in steps]
     carry_next = [u[n - yy - 2] if yy < n - 1 else None for _, yy in steps]
     last = len(steps)
     path: list[tuple] = [()] * last
@@ -151,11 +153,11 @@ def _build(u, path) -> tuple[Puzzle, tuple[str, int, int] | None]:
     rhombi, cell = [], None
     for (x, yy), (right, item, ne, sp) in path:
         labels[("B", x, yy)] = right
-        if item[0] == "H":
-            labels[("H", x, yy)] = item[1]
+        if item < 8:
+            labels[("H", x, yy)] = item
         else:
             labels[("B", x, yy + 1)] = right
-            labels[("A", x + 1, yy + 1)] = item[2]
+            labels[("A", x + 1, yy + 1)] = item & 7
             rhombi.append((x, yy))
         if ne is not None:
             labels[("A", x + 1, yy)] = ne
@@ -183,37 +185,27 @@ def product_expansion(u: String012, v: String012) -> dict[String012, YPoly]:
     return {w: bottom[w] for w in sorted(bottom) if bottom[w]}
 
 
-def _item_id(item: tuple) -> int:
-    """The byte of a row item in a packed state: ``("H", l)`` is ``l``,
-    ``("R", p, q)`` is ``8 + 8p + q``."""
-    return item[1] if item[0] == "H" else 8 + 8 * item[1] + item[2]
-
-
-def _item(i: int) -> tuple:
-    """The row item whose byte is ``i``; inverse of ``_item_id``."""
-    return ("H", i) if i < 8 else ("R", (i - 8) >> 3, (i - 8) & 7)
-
-
 def _bottom_rows(u: String012, v: String012) -> dict[tuple[int, ...], YPoly]:
     """The summed weight of all tilings with left and right borders
     ``u`` and ``v`` and a bottom row of simple labels, by bottom row.
 
     A state is one int: byte 0 is the carry, byte ``k+1`` the item in
-    slot ``k`` (``_item_id``), which holds row ``y`` left of the step
-    and row ``y-1`` from it on.  The step at ``x`` replaces slot ``x``,
-    so a move adds a delta that depends only on the carry and the item
-    over ``D(x, y)``, the bytes that ``mask`` keeps."""
+    slot ``k``, which holds row ``y`` left of the step and row ``y-1``
+    from it on.  The step at ``x`` replaces slot ``x``, so a move adds a
+    delta that depends only on the carry and the item over ``D(x, y)``,
+    the bytes that ``mask`` keeps."""
     n = len(u)
     moves = tables().step_moves
     # 1. forward, no weights: per step, its states and, per (carry,
     # item over) key, the deltas of its moves in move order.  The step
-    # that ends row y fills slot y and sets the carry A(0, y+1).
+    # that ends row y fills slot y and sets the carry A(0, y+1); the
+    # last row holds simple labels only.
     start = u[-1] if n else 0
     graph: list[tuple] = []  # per step: (states, shift, mask, deltas, cell)
     frontier = {start}
     for yy in range(n):
-        bottom = yy == n - 1
-        carry_next = 0 if bottom else u[n - yy - 2]
+        bottom = SIMPLE if yy == n - 1 else None
+        carry_next = u[n - yy - 2] if bottom is None else 0
         for x in range(yy + 1):
             border = v[yy] if x == yy else None
             shift = 8 * (x + 1)
@@ -227,26 +219,22 @@ def _bottom_rows(u: String012, v: String012) -> dict[tuple[int, ...], YPoly]:
                     carry, over = key & 0xFF, key >> shift
                     if border is None:
                         ds = tuple(
-                            ((_item_id(item) - over) << shift) + ne - carry
-                            for _, item, ne, _ in moves[carry, _item(over), None, bottom, False]
+                            ((item - over) << shift) + ne - carry
+                            for _, item, ne, _ in moves[carry, over, None, bottom, False]
                         )
                     else:
                         ds = tuple(
-                            (_item_id(item) << shift) + carry_next - carry
+                            (item << shift) + carry_next - carry
                             for _, item, _, _ in moves[carry, None, border, bottom, False]
                         )
                     deltas[key] = ds
                 nxt.update(state + d for d in ds)
             graph.append((frontier, shift, mask, deltas, (x, yy)))
             frontier = nxt
-    # 2. backward: a state is live if it has a path to a bottom row of
-    # simple labels (content is conserved, so these are the strings of
-    # content(u)); per step, the live states and their live successors
-    live: Collection[int] = {
-        state
-        for state in frontier
-        if all(label in SIMPLE for label in state.to_bytes(n + 1, "little")[1:])
-    }
+    # 2. backward: a state is live if it has a path to a bottom row
+    # (content is conserved, so these are the strings of content(u));
+    # per step, the live states and their live successors
+    live: Collection[int] = frontier
     passes = []
     while graph:
         states, shift, mask, deltas, cell = graph.pop()

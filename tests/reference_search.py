@@ -27,7 +27,7 @@ from twostep.board import (
     rhombus_position,
     up_cell_edges,
 )
-from twostep.labels import tables
+from twostep.labels import LABELS, tables
 from twostep.strings import String012, content
 
 
@@ -222,7 +222,7 @@ def bottom_rows(u: String012, v: String012) -> dict[tuple[int, ...], YPoly]:
     states: dict[tuple, YPoly] = {(): YPoly.const(1)}
     for yy in range(n):
         frontier = {((), u[n - yy - 1], above): wt for above, wt in states.items()}
-        bottom = yy == n - 1
+        bottom = LABELS if yy == n - 1 else None
         for x in range(yy + 1):
             border = v[yy] if x == yy else None
             i, j = rhombus_position(x, yy, n)
@@ -236,8 +236,8 @@ def bottom_rows(u: String012, v: String012) -> dict[tuple[int, ...], YPoly]:
             # every rhombus placed in this step has the same weight, so
             # it multiplies each merged sum once
             for key, wt in step.items():
-                if key[0][-1][0] == "R":
+                if key[0][-1] >= 8:
                     step[key] = wt * rhombus_weight
             frontier = step
         states = {done: wt for (done, _, _), wt in frontier.items()}
-    return {tuple(label for _, label in row): wt for row, wt in states.items()}
+    return states  # the last row holds no rhombus, so its items are its labels

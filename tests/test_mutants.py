@@ -40,6 +40,8 @@ WALK = search._walk
 DIVIDE_LOWERS_WRONG_FIELD = source_mutant(
     algebra.exact_divide, "qm = m - pivot", "qm = m - (pivot >> 8)"
 )
+# each bottom-row step allowed every simple label, not its label of w
+WALK_IGNORES_BOTTOM_ROW = source_mutant(search._walk, "(w[x],)", "SIMPLE")
 
 
 def v_points_out(border, i, n):
@@ -61,6 +63,7 @@ MUTANTS = [
     ("out-up-swapped", mutation, "OUT_UP", OUT_UP_SWAPPED, MUTATION),
     ("border-edge-v-points-out", mutation, "border_edge", v_points_out, MUTATION),
     ("walk-drops-last", search, "_walk", lambda *key: iter(list(WALK(*key))[:-1]), ORACLE),
+    ("walk-ignores-bottom-row", search, "_walk", WALK_IGNORES_BOTTOM_ROW, ORACLE),
     ("exact-divide-lowers-wrong-field", strings, "exact_divide", DIVIDE_LOWERS_WRONG_FIELD, ORACLE),
     ("one-special-lists-nothing", mutation, "enumerate_one_special", lambda *key: iter(()),
      MUTATION),

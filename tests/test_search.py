@@ -12,7 +12,7 @@ from conftest import table_text
 from reference_search import restriction_puzzle
 from twostep import search
 from twostep.aura import check_recursion, check_two_sums
-from twostep.labels import LABELS, PieceTables, tables
+from twostep.labels import LABELS, SIMPLE, PieceTables, tables
 from twostep.mutation import down_temporary_table, enumerate_flawed, temporary_table
 from twostep.strings import (
     all_strings,
@@ -280,20 +280,51 @@ def test_step_moves_have_one_owner(monkeypatch, tmp_path):
 
 
 def test_row_items_pack_into_one_byte():
-    # every item that a move can place or find over D(x, y), over every
-    # label, is one byte of a packed product state, and comes back; a
-    # fresh table value keeps the shared step moves as they are
+    # every item that a move can place, over every key, is one byte of a
+    # packed product state: an up-triangle's bottom label below 8, a
+    # rhombus's top half as 8 + 8p + q, which decodes to a rhombus of the
+    # table whose p the move places on B(x, y), so distinct pieces get
+    # distinct bytes; a fresh table value keeps the shared step moves as
+    # they are
     t = tables()
     moves = PieceTables(t.triangles, t.rhombi).step_moves
-    overs = [None, *(("H", l) for l in LABELS), *(("R", p, q) for p in LABELS for q in LABELS)]
-    items = set(overs[1:])
-    for key in itertools.product(LABELS, overs, (None, *LABELS), (False, True), (False, True)):
-        items.update(item for _, item, _, _ in moves[key])
-    assert len(items) == len(overs) - 1
-    ids = {search._item_id(item) for item in items}
-    assert len(ids) == len(items) and ids <= set(range(256))
-    for item in items:
-        assert search._item(search._item_id(item)) == item
+    overs = [None, *LABELS, *(8 + 8 * p + q for p in LABELS for q in LABELS)]
+    labels, rhombi = set(), set()
+    for key in itertools.product(LABELS, overs, (None, *LABELS), (None, LABELS), (False, True)):
+        for right, item, _, _ in moves[key]:
+            assert 0 <= item < 256
+            if item < 8:
+                labels.add(item)
+            else:
+                p, q = (item - 8) >> 3, item & 7
+                assert (p, q) in t.rhombi and right == p
+                rhombi.add(item)
+    assert labels == {h for *_, h in t.up_list} | {h for *_, h in t.temporaries}
+    assert sorted(((i - 8) >> 3, i & 7) for i in rhombi) == sorted(t.rhombi)
+
+
+def test_move_keys_cannot_collide(monkeypatch, tmp_path):
+    # True == 1 and False == 0 as dict keys, so a bool and a label in one
+    # key position would make two keys one entry; every key that a
+    # product pass, a listing and a one-special listing leave in a fresh
+    # table value keeps each position to one kind
+    copy = tmp_path / "tables.txt"
+    copy.write_text(table_text())
+    monkeypatch.setenv("PUZZLE_TABLE_PATH", str(copy))
+    u, v, w = (parse(s) for s in HEAVY_TRIPLES[1])
+    assert product_expansion(u, v)
+    assert list(enumerate_puzzles(u, v, w))
+    assert list(enumerate_one_special(u, v, w))
+    keys = list(tables().step_moves)
+    for carry, over, preset, bottom, special in keys:
+        assert type(carry) is int and carry in LABELS
+        assert over is None or type(over) is int and 0 <= over < 256
+        assert preset is None or type(preset) is int and preset in LABELS
+        assert bottom is None or type(bottom) is tuple
+        assert all(type(label) is int and label in LABELS for label in bottom or ())
+        assert type(special) is bool
+    assert {key[3] for key in keys} == {None, SIMPLE, *((label,) for label in w)}
+    assert {key[4] for key in keys} == {False, True}
 
 
 def test_empty_boundary():
