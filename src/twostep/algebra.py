@@ -293,9 +293,16 @@ def y(i: int) -> YPoly:
 
 # -- canonical text form ----------------------------------------------------
 
-def _mono_key(m: Mono) -> tuple:
-    # graded-lex with y1 before y2 before ...
-    return (sum(m), tuple(-e for e in m))
+# each byte to 255 minus itself: the complemented exponent bytes sort
+# ascending where the exponents sort descending
+_COMPLEMENT = bytes(range(255, -1, -1))
+
+
+def _print_key(key: int) -> tuple[int, bytes]:
+    """The sort key of the packed monomial ``key`` in print order: by
+    total degree, then by the exponents of ``y1, y2, ...`` descending."""
+    b = key.to_bytes(NVARS, "little")
+    return (sum(b), b.translate(_COMPLEMENT))
 
 
 def format_poly(p: YPoly) -> str:
@@ -306,13 +313,13 @@ def format_poly(p: YPoly) -> str:
     >>> format_poly(YPoly.zero())
     '0'
     """
-    terms = p.tuple_terms()
+    terms = p.terms
     if not terms:
         return "0"
     parts = []
-    for m in sorted(terms, key=_mono_key):
+    for m in sorted(terms, key=_print_key):
         factors = [str(terms[m])]
-        for i, e in enumerate(m, start=1):
+        for i, e in enumerate(_unpack(m), start=1):
             if e == 1:
                 factors.append(f"y{i}")
             elif e > 1:
@@ -626,11 +633,11 @@ class Tower:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        groups: dict[tuple[DeltaKey, Mono], list[int]] = {}
-        for (dk, m, e), c in self.tuple_terms().items():
+        groups: dict[tuple[DeltaKey, int], list[int]] = {}
+        for (dk, m, e), c in self.terms.items():
             groups.setdefault((dk, m), [0, 0, 0, 0])[e] = c
         parts = []
-        for dk, m in sorted(groups, key=lambda k: (-1 if k[0] is None else k[0], _mono_key(k[1]))):
+        for dk, m in sorted(groups, key=lambda k: (-1 if k[0] is None else k[0], _print_key(k[1]))):
             coeff = " + ".join(
                 str(c) if e == 0 else {1: "", -1: "-"}.get(c, f"{c}*") + _ZETA_NAMES[e]
                 for e, c in enumerate(groups[dk, m])
@@ -638,7 +645,7 @@ class Tower:
             ).replace("+ -", "- ")
             mono = "*".join(
                 f"y{i}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(m, start=1)
+                for i, e in enumerate(_unpack(m), start=1)
                 if e
             )
             head = f"({coeff})"

@@ -40,7 +40,7 @@ from typing import Iterable
 
 from .algebra import Tower
 from .board import Puzzle, border_edge, cell_sides, edge_weight, rhombus_weight
-from .labels import IN_DOWN, IN_UP, tables
+from .labels import IN, tables
 from .mutation import (
     AbstractGash,
     FlawedPuzzle,
@@ -128,10 +128,9 @@ def gamma_form(a: int, b: int, n: int) -> Tower:
 def piece_equivariant_aura(P: Puzzle, cell: tuple[str, int, int]) -> Tower:
     """Weight-scaled aura of a triangular piece: the sum over its sides
     of ``weight(e)`` times the edge aura, with labels moved inside the piece."""
-    ins = IN_UP if cell[0] == "U" else IN_DOWN
     table = tables().aura
     out = Tower.zero()
-    for e, d in zip(cell_sides(cell), ins):
+    for e, d in zip(cell_sides(cell), IN[cell[0]]):
         out = out + Tower.from_ypoly(edge_weight(e, P.n)) * table[(d, P.labels[e])]
     return out
 

@@ -46,12 +46,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .algebra import NVARS, YPoly, y
-from .labels import IN_DOWN, IN_UP, SIMPLE, dual_label, tables
+from .labels import IN, SIMPLE, dual_label, tables
 
 __all__ = [
     "InvariantViolation",
@@ -118,7 +119,7 @@ def on_board(cell: tuple[str, int, int], n: int) -> bool:
 # into it: a gash with direction d on the edge at (x, y) points at (x + dx, y + dy)
 _AHEAD = {
     (ek, d): (kind, -ex, -ey)
-    for kind, ins in (("U", IN_UP), ("D", IN_DOWN))
+    for kind, ins in IN.items()
     for (ek, ex, ey), d in zip(cell_sides((kind, 0, 0)), ins)
 }
 
@@ -228,7 +229,7 @@ class InvariantViolation(RuntimeError):
     break an assumption of the mutation theory."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Puzzle:
     """A puzzle on the size-``n`` triangle.
 
@@ -238,21 +239,33 @@ class Puzzle:
     ``P.labels.copy()`` is a ``dict`` to edit.  ``rhombi`` is the set of
     rhombus occurrences.  ``key`` (size, sorted labels, sorted rhombi) is
     the puzzle's identity: equality and hashing compare it alone, here
-    and in the gashed and flawed puzzles built on a ``Puzzle``.
+    and in the gashed and flawed puzzles built on a ``Puzzle``.  Most
+    puzzles built on the way (a propagation's stops, a flaw's
+    resolutions) are never compared, so the key is sorted on the first
+    comparison or hash and then kept.
     """
 
-    n: int = field(compare=False)
-    labels: Mapping[Edge, int] = field(compare=False)
-    rhombi: frozenset[Rhombus] = field(default=frozenset(), compare=False)
-    key: tuple = field(init=False, repr=False)
+    n: int
+    labels: Mapping[Edge, int]
+    rhombi: frozenset[Rhombus] = frozenset()
 
     def __post_init__(self):
         labels = dict(self.labels)
         for r in self.rhombi:
             labels.pop(rhombus_inner_edge(r), None)
         object.__setattr__(self, "labels", MappingProxyType(labels))
-        key = (self.n, tuple(sorted(labels.items())), tuple(sorted(self.rhombi)))
-        object.__setattr__(self, "key", key)
+
+    @cached_property
+    def key(self) -> tuple:
+        return (self.n, tuple(sorted(self.labels.items())), tuple(sorted(self.rhombi)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Puzzle):
+            return NotImplemented
+        return self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
 
     # -- structure ---------------------------------------------------------
 

@@ -51,6 +51,8 @@ __all__ = [
     "OUT_UP",
     "IN_DOWN",
     "OUT_DOWN",
+    "IN",
+    "OUT",
     "PieceTables",
     "tables",
     "load_tables",
@@ -70,6 +72,9 @@ IN_UP = (5, 3, 1)
 OUT_UP = (2, 0, 4)
 IN_DOWN = (0, 2, 4)
 OUT_DOWN = (3, 5, 1)
+# the same, by cell kind
+IN = {"U": IN_UP, "D": IN_DOWN}
+OUT = {"U": OUT_UP, "D": OUT_DOWN}
 
 
 def dual_label(l: int) -> int:
@@ -123,6 +128,11 @@ class PieceTables:
         # a 180-degree rotation of an upside-down cell: its NE side lands
         # where an up cell's left side is, its NW side on the right side
         return (ne, nw, top) in self._up
+
+    def valid(self, kind: str, piece: Triple) -> bool:
+        """Whether ``piece``, the sides of a ``"U"`` or ``"D"`` cell in
+        ``board.cell_sides`` order, is a valid triangle."""
+        return (self.valid_up if kind == "U" else self.valid_down)(*piece)
 
     def dual(self) -> "PieceTables":
         tris = tuple(
@@ -204,8 +214,7 @@ class PieceTables:
         gashes: each replacement joins the entering and leaving gash."""
         rel: set[tuple[AbstractGash, AbstractGash]] = set()
         for (kind, q, s, new), (s2, new2) in self.replacements.items():
-            ins, outs = (IN_UP, OUT_UP) if kind == "U" else (IN_DOWN, OUT_DOWN)
-            g, h = (ins[s], q[s], new), (outs[s2], q[s2], new2)
+            g, h = (IN[kind][s], q[s], new), (OUT[kind][s2], q[s2], new2)
             rel.update(((g, h), (h, g)))
         return frozenset(rel)
 

@@ -63,7 +63,7 @@ from .board import (
     puzzle_to_json,
     rhombus_outer_edges,
 )
-from .labels import OUT_DOWN, OUT_UP, SIMPLE, AbstractGash, PieceTables, dual_label, tables
+from .labels import OUT, SIMPLE, AbstractGash, PieceTables, dual_label, tables
 from .search import enumerate_one_special, enumerate_puzzles
 from .strings import String012, covers, fmt, neighbours
 
@@ -268,12 +268,11 @@ def _step(
         piece = tuple(g.orig if e == g.edge else labels[e] for e in edges)
         hit = t.replacements.get((cell[0], piece, s, g.new))
         if hit is None:
-            if not (t.valid_up if cell[0] == "U" else t.valid_down)(*piece):
+            if not t.valid(cell[0], piece):
                 raise InvariantViolation(f"gash {g} points at invalid piece {piece}")
             return None
         s2, new = hit
-        outs = OUT_UP if cell[0] == "U" else OUT_DOWN
-        ng = PlacedGash(edges[s2], outs[s2], piece[s2], new)
+        ng = PlacedGash(edges[s2], OUT[cell[0]][s2], piece[s2], new)
     labels[g.edge] = g.new
     del labels[ng.edge]
     return ng
@@ -442,7 +441,7 @@ class FlawedPuzzle:
             kind = self.flaw[1][0]
             edges = cell_sides(self.flaw[1])
             t = tuple(self.base.labels[e] for e in edges)
-            outs = OUT_UP if kind == "U" else OUT_DOWN
+            outs = OUT[kind]
             res = []
             for k, r in enumerate(_temporaries(kind)[t]):  # side k is preserved
                 labels = self.base.labels.copy()
@@ -461,9 +460,9 @@ class FlawedPuzzle:
             # a NW-SE ("B") side takes p, a SW-NE ("A") side q
             s = 1 if side == "L" else 0
             gashes = set()
-            for cell, outs in ((("U", x, yy), OUT_UP), (("D", x, yy + 1), OUT_DOWN)):
+            for cell in (("U", x, yy), ("D", x, yy + 1)):
                 e = cell_sides(cell)[s]
-                gashes.add(PlacedGash(e, outs[s], labels.pop(e), p if e[0] == "B" else q))
+                gashes.add(PlacedGash(e, OUT[cell[0]][s], labels.pop(e), p if e[0] == "B" else q))
             # H(x,y) becomes the rhombus interior, which Puzzle drops
             base = Puzzle(n, labels, rhombi | {(x, yy)})
             return [GashedPuzzle(base, frozenset(gashes))]

@@ -223,6 +223,19 @@ class TestYPolyMatchesReference:
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(
+        st.one_of(
+            # many monomials of one degree, which the exponent order sorts
+            ypoly_terms(max_terms=10, max_var=5, max_exp=2),
+            # any exponent up to 127 of any of the 64 variables
+            ypoly_terms(max_terms=4, max_var=64, max_exp=127),
+        )
+    )
+    def test_format_poly(self, s):
+        new, old = _both(s)
+        assert format_poly(new) == ref.format_poly(old)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
         ypoly_terms(max_var=5, max_exp=20),
         ypoly_terms(max_var=5, max_exp=20),
         # C_u - C_w at the delta specialization has coefficients in -2..2

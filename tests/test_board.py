@@ -8,6 +8,7 @@ import re
 import pytest
 from conftest import demo_puzzle
 
+from twostep import search
 from twostep.algebra import YPoly, y
 from twostep.board import (
     Puzzle,
@@ -96,6 +97,28 @@ def test_dual_involution():
     D = P.dual()
     assert D.validate() == []
     assert D.dual() == P
+
+
+def test_identity_is_the_sorted_labels():
+    P = demo_puzzle()
+    Q = Puzzle(P.n, dict(reversed(P.labels.items())), P.rhombi)
+    assert list(Q.labels) != list(P.labels)
+    assert Q == P and hash(Q) == hash(P)
+    assert Puzzle(P.n, P.labels, frozenset()) != P
+    assert (P == object()) is False
+
+
+def test_listed_puzzles_sort_no_key_until_compared():
+    # the identity key is built on the first comparison or hash, so a
+    # listing that nobody compares sorts no labels
+    search._listing.cache_clear()
+    triples = [("1012", "1120", "1120"), ("1021", "1120", "1210"), ("1002", "0210", "2010")]
+    listed = [P for t in triples for P in enumerate_puzzles(*map(parse, t))]
+    assert len(listed) == 9
+    assert not any("key" in vars(P) for P in listed)
+    for P in listed:
+        hash(P)
+        assert "key" in vars(P)
 
 
 def test_json_round_trip():

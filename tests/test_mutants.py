@@ -34,8 +34,11 @@ ORACLE = ["verify", "--suite", "oracle", "--max-n", "3"]
 PIECES = ["verify", "--suite", "pieces"]
 GASHES = ["verify", "--suite", "gashes"]
 ZETA_SIX_IS_ONE = algebra._ZETA_REDUCE[:6] + (((0, 1),),)  # the reduction table for zeta^6 = +1
-OUT_UP_SWAPPED = (mutation.OUT_UP[1], mutation.OUT_UP[0], *mutation.OUT_UP[2:])
+OUT_UP = mutation.OUT["U"]
+OUT_UP_SWAPPED = {**mutation.OUT, "U": (OUT_UP[1], OUT_UP[0], *OUT_UP[2:])}
 WALK = search._walk
+# the identity key with the labels in insertion order, not sorted
+KEY_UNSORTED = property(lambda P: (P.n, tuple(P.labels.items()), tuple(sorted(P.rhombi))))
 # the quotient monomial lowered in the field below the pivot's
 DIVIDE_LOWERS_WRONG_FIELD = source_mutant(
     algebra.exact_divide, "qm = m - pivot", "qm = m - (pivot >> 8)"
@@ -60,7 +63,8 @@ MUTANTS = [
     ("covers-drops-first", strings, "covers", lambda u: covers(u)[1:], ORACLE),
     ("cocovers-drops-last", strings, "cocovers", lambda w: cocovers(w)[:-1], ORACLE),
     ("gash-class-is-singleton", mutation, "gash_class", lambda g: frozenset({g}), GASHES),
-    ("out-up-swapped", mutation, "OUT_UP", OUT_UP_SWAPPED, MUTATION),
+    ("out-up-swapped", mutation, "OUT", OUT_UP_SWAPPED, MUTATION),
+    ("puzzle-key-keeps-insertion-order", board.Puzzle, "key", KEY_UNSORTED, MUTATION),
     ("border-edge-v-points-out", mutation, "border_edge", v_points_out, MUTATION),
     ("walk-drops-last", search, "_walk", lambda *key: iter(list(WALK(*key))[:-1]), ORACLE),
     ("walk-ignores-bottom-row", search, "_walk", WALK_IGNORES_BOTTOM_ROW, ORACLE),
