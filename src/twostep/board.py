@@ -6,7 +6,11 @@ cells and their sides (``cell_sides``), the cell a gash points at
 (``border_edge``, inverted by ``border_position``), the rhombus weight,
 gash directions and edge midpoints in the plane (``edge_midpoint``),
 and the walk over a tiling's pieces (``Puzzle.pieces``) that
-validation, JSON and SVG share.
+validation, JSON and SVG share.  ``board_table(n)`` holds these answers
+for one board size, built on first use: its edge set, each cell's
+sides and covering rhombus, the border edges, and the cell ahead of
+every edge in each direction, so that gash propagation and validation
+look them up.
 
 A size-``n`` puzzle fills the upward equilateral triangle with rows
 ``y = 0`` (apex) through ``n-1`` (bottom).  Row ``y`` holds up-cells
@@ -47,9 +51,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .algebra import NVARS, YPoly, y
 from .labels import IN, SIMPLE, dual_label, tables
@@ -134,6 +138,46 @@ def cell_ahead(edge: Edge, d: int, n: int) -> tuple[str, int, int] | None:
     ck, dx, dy = ahead
     cell = (ck, x + dx, yy + dy)
     return cell if on_board(cell, n) else None
+
+
+class BoardCell(NamedTuple):
+    """A cell ``kind`` (``"U"`` or ``"D"``) at ``anchor`` ``(x, y)``, its
+    ``sides`` in ``cell_sides`` order, and the rhombus that would cover it."""
+
+    kind: str
+    anchor: tuple[int, int]
+    sides: tuple[Edge, Edge, Edge]
+    cover: Rhombus
+
+
+class BoardTable(NamedTuple):
+    """The geometry of one board size (see ``board_table``)."""
+
+    edges: frozenset[Edge]
+    anchors: frozenset[Rhombus]  # the rhombi that fit on the board
+    cells: tuple[BoardCell, ...]  # the up-cells, then the down-cells
+    border: tuple[tuple[Edge, ...], ...]  # the ``border_edge``s of u, v and w
+    # (edge, d) -> (the cell ahead, the side the gash enters by), or None
+    # off the board; no key when d is not perpendicular to the edge
+    ahead: dict[tuple[Edge, int], tuple[BoardCell, int] | None]
+
+
+@lru_cache(maxsize=64)  # one entry per size n <= NVARS
+def board_table(n: int) -> BoardTable:
+    """The size-``n`` board's edges, cells, border and ``cell_ahead`` answers."""
+    cells = tuple(BoardCell("U", (x, yy), up_cell_edges(x, yy), (x, yy)) for x, yy in up_cells(n))
+    cells += tuple(
+        BoardCell("D", (x, yy), down_cell_edges(x, yy), (x, yy - 1)) for x, yy in down_cells(n)
+    )
+    by_cell = {(c.kind, *c.anchor): c for c in cells}
+    edges = all_edges(n)
+    ahead = {  # by_cell.get(None) is None: off the board
+        (e, d): (c := by_cell.get(cell_ahead(e, d, n))) and (c, c.sides.index(e))
+        for e in edges for d in range(6) if (e[0], d) in _AHEAD
+    }
+    anchors = frozenset(c.cover for c in cells if c.kind == "D")
+    border = tuple(tuple(border_edge(b, i, n)[0] for i in range(1, n + 1)) for b in "uvw")
+    return BoardTable(frozenset(edges), anchors, cells, border, ahead)
 
 
 def rhombus_inner_edge(r: Rhombus) -> Edge:
@@ -273,23 +317,11 @@ class Puzzle:
         """(up-cells, down-cells) covered by rhombi."""
         return self.rhombi, frozenset((x, yy + 1) for x, yy in self.rhombi)
 
-    def rhombus_at(self, cell: tuple[str, int, int]) -> Rhombus | None:
-        """The rhombus covering ``cell`` (``("U"|"D", x, y)``), if any."""
-        kind, x, yy = cell
-        r = (x, yy) if kind == "U" else (x, yy - 1)
-        return r if r in self.rhombi else None
-
-    def internal_edges(self) -> set[Edge]:
-        return {rhombus_inner_edge(r) for r in self.rhombi}
-
     def boundary(self):
-        """The border strings ``(u, v, w)``: the labels at ``border_edge``
-        (spelled out here, as this is hot)."""
-        n = self.n
-        u = tuple(self.labels[("A", 0, n - i)] for i in range(1, n + 1))
-        v = tuple(self.labels[("B", i - 1, i - 1)] for i in range(1, n + 1))
-        w = tuple(self.labels[("H", i - 1, n - 1)] for i in range(1, n + 1))
-        return (u, v, w)
+        """The border strings ``(u, v, w)``: the labels at ``border_edge``."""
+        get = self.labels.__getitem__
+        u, v, w = board_table(self.n).border
+        return (tuple(map(get, u)), tuple(map(get, v)), tuple(map(get, w)))
 
     def pieces(self) -> list[tuple[str, tuple[int, int], tuple[int, ...]]]:
         """The tiling's pieces ``(kind, anchor, labels)`` in the
@@ -297,35 +329,30 @@ class Puzzle:
         sorted; then the up-triangles ``("U", (x, y), (left, right,
         bottom))`` and the down-triangles ``("D", (x, y), (nw, ne,
         top))`` that no rhombus covers."""
-        labels = self.labels
+        labels, rhombi = self.labels, self.rhombi
         out = []
-        for r in sorted(self.rhombi):
+        for r in sorted(rhombi):
             (p, _), (q, _) = rhombus_outer_edges(r)
             out.append(("R", r, (labels[p], labels[q])))
-        ups, downs = self.covered_cells()
-        for kind, cells, covered in (("U", up_cells, ups), ("D", down_cells, downs)):
-            for cell in cells(self.n):
-                if cell not in covered:
-                    a, b, c = cell_sides((kind, *cell))
-                    out.append((kind, cell, (labels[a], labels[b], labels[c])))
+        for kind, cell, (a, b, c), cover in board_table(self.n).cells:
+            if cover not in rhombi:
+                out.append((kind, cell, (labels[a], labels[b], labels[c])))
         return out
 
     def validate(self) -> list[str]:
         """Empty list iff the labeling is a valid puzzle."""
-        t = tables()
+        n, labels, rhombi = self.n, self.labels, self.rhombi
+        board = board_table(n)
         out: list[str] = []
-        n = self.n
-        for r in sorted(self.rhombi):
-            x, yy = r
-            if not 0 <= x <= yy < n - 1:
-                out.append(f"rhombus {r} leaves the board")
-        internal = self.internal_edges()
-        for e in all_edges(n):
-            if e not in self.labels and e not in internal:
-                out.append(f"unlabeled edge {e}")
-        if out:
-            return out
-        labels = self.labels
+        if not rhombi <= board.anchors:
+            out = [f"rhombus {r} leaves the board" for r in sorted(rhombi - board.anchors)]
+        # with every rhombus on the board, each leaves one edge unlabeled
+        if out or len(board.edges.difference(labels)) != len(rhombi):
+            known = {rhombus_inner_edge(r) for r in rhombi} | labels.keys()
+            out += [f"unlabeled edge {e}" for e in all_edges(n) if e not in known]
+            if out:
+                return out
+        t = tables()
         for kind, cell, lab in self.pieces():
             if kind == "R":
                 (_, p1), (_, q1) = rhombus_outer_edges(cell)

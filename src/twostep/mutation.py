@@ -24,8 +24,9 @@ gashes, and a *flawed puzzle* is a ``Puzzle`` plus exactly one flaw: a
 gash pair on a border segment, a temporary piece, or a marked scab.
 The ``Puzzle`` holds the labels and rhombi and decides identity; cell
 sides, the cell a gash points at, and border edges and positions are
-read from :mod:`~.board`.  A gash sits on a border, pointing in,
-exactly when no cell lies behind it.
+read from :mod:`~.board`, the first two from the per-size
+``board_table``.  A gash sits on a border, pointing in, exactly when no
+cell lies behind it.
 Replacing the flaw by two directed gashes gives its *resolutions*;
 ``phi`` propagates both gashes to their fixed points and reverses them,
 which is an involution whose value is a resolution of a unique other
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .board import (
     DIR_C,
@@ -54,9 +55,9 @@ from .board import (
     Edge,
     InvariantViolation,
     Puzzle,
+    board_table,
     border_edge,
     border_position,
-    cell_ahead,
     cell_sides,
     edge_midpoint,
     on_board,
@@ -99,8 +100,7 @@ __all__ = [
     "dual_flawed",
 ]
 
-@dataclass(frozen=True, order=True)
-class PlacedGash:
+class PlacedGash(NamedTuple):
     """A directed gash at a specific edge of a board."""
 
     edge: Edge
@@ -114,10 +114,6 @@ class PlacedGash:
 
     def reverse(self) -> "PlacedGash":
         return PlacedGash(self.edge, (self.d + 3) % 6, self.new, self.orig)
-
-
-def cell_behind(edge: Edge, d: int, n: int) -> Optional[tuple[str, int, int]]:
-    return cell_ahead(edge, (d + 3) % 6, n)
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +160,9 @@ def down_temporary_table() -> dict:
     return tables().down_temporaries
 
 
-def _temporaries(kind: str) -> dict:
+def _temporaries(t: PieceTables, kind: str) -> dict:
     """The temporary pieces of a ``"U"`` or ``"D"`` cell -> resolutions."""
-    return temporary_table() if kind == "U" else down_temporary_table()
+    return t.temporaries if kind == "U" else t.down_temporaries
 
 
 def scab_table() -> dict:
@@ -238,17 +234,19 @@ class FlawRecognitionError(Exception):
 
 
 def _step(
-    B: Puzzle, labels: dict, g: PlacedGash, blocked: set, t: PieceTables
+    rhombi: frozenset, labels: dict, g: PlacedGash, blocked: set, t: PieceTables, ahead: dict
 ) -> Optional[PlacedGash]:
-    """Move ``g`` across the piece it points at, editing ``labels`` (the
-    labels of ``B`` less the gash edges) in place.  Returns the moved
-    gash, or None when ``g`` is stuck: at the border, at a piece with an
-    edge in ``blocked`` (another gash), or with no valid replacement."""
-    cell = cell_ahead(g.edge, g.d, B.n)
-    if cell is None:
+    """Move ``g`` across the piece it points at, editing ``labels`` in
+    place: the labels of the puzzle with ``rhombi`` less the gash edges
+    in ``blocked``, with ``g.orig`` on ``g``'s edge.  ``ahead`` is the
+    board's ``board_table(n).ahead``.  Returns the moved gash, or None
+    when ``g`` is stuck: at the border, at a piece with an edge in
+    ``blocked`` (another gash), or with no valid replacement."""
+    hit = ahead[g.edge, g.d]
+    if hit is None:
         return None
-    r = B.rhombus_at(cell)
-    if r is not None:
+    (kind, _, edges, r), s = hit
+    if r in rhombi:
         p_pair, q_pair = rhombus_outer_edges(r)
         if blocked.intersection(p_pair + q_pair):
             return None
@@ -261,20 +259,18 @@ def _step(
             return None
         ng = PlacedGash(exit_edge, g.d, g.orig, g.new)
     else:
-        edges = cell_sides(cell)
         if blocked.intersection(edges):
             return None
-        s = edges.index(g.edge)
-        piece = tuple(g.orig if e == g.edge else labels[e] for e in edges)
-        hit = t.replacements.get((cell[0], piece, s, g.new))
+        a, b, c = edges
+        piece = (labels[a], labels[b], labels[c])
+        hit = t.replacements.get((kind, piece, s, g.new))
         if hit is None:
-            if not t.valid(cell[0], piece):
+            if not t.valid(kind, piece):
                 raise InvariantViolation(f"gash {g} points at invalid piece {piece}")
             return None
         s2, new = hit
-        ng = PlacedGash(edges[s2], OUT[cell[0]][s2], piece[s2], new)
-    labels[g.edge] = g.new
-    del labels[ng.edge]
+        ng = PlacedGash(edges[s2], OUT[kind][s2], piece[s2], new)
+    labels[g.edge] = g.new  # the moved gash's edge already holds ng.orig
     return ng
 
 
@@ -287,16 +283,18 @@ def propagate_full(
     if g not in G.gashes:
         raise ValueError(f"gash {g} is not in this gashed puzzle")
     B, t = G.base, tables()
-    labels = B.labels.copy()
+    ahead, labels = board_table(B.n).ahead, B.labels.copy()
+    labels[g.edge] = g.orig
     blocked = {h.edge for h in G.gashes if h != g}
     path, f = [g.edge], g
-    while (moved := _step(B, labels, f, blocked, t)) is not None:
+    while (moved := _step(B.rhombi, labels, f, blocked, t, ahead)) is not None:
         if moved.edge in path:
             raise InvariantViolation(f"propagation revisited edge {moved.edge}")
         path.append(moved.edge)
         f = moved
     if f is g:
         return G, g, path
+    del labels[f.edge]
     return GashedPuzzle(Puzzle(B.n, labels, B.rhombi), (G.gashes - {g}) | {f}), f, path
 
 
@@ -411,7 +409,7 @@ class FlawedPuzzle:
                     out.append(str(e))
         elif kind == "temporary":
             triple = tuple(labels[e] for e in edges)
-            if triple not in _temporaries(ck):
+            if triple not in _temporaries(tables(), ck):
                 out.append(f"cell {data} does not hold a temporary piece")
             expect = f"invalid {'up' if ck == 'U' else 'down'}-triangle " \
                 f"{triple} at {(x, yy)}"
@@ -419,7 +417,7 @@ class FlawedPuzzle:
         else:
             out.extend(problems)
             s = _scab_at(labels, x, yy)
-            if s not in scab_table():
+            if s not in tables().scabs:
                 out.append(f"marked rhombus {s} at {(x, yy)} is not a scab")
         return out
 
@@ -440,21 +438,21 @@ class FlawedPuzzle:
         if self.flaw_type == "temporary":
             kind = self.flaw[1][0]
             edges = cell_sides(self.flaw[1])
-            t = tuple(self.base.labels[e] for e in edges)
+            piece = tuple(self.base.labels[e] for e in edges)
             outs = OUT[kind]
             res = []
-            for k, r in enumerate(_temporaries(kind)[t]):  # side k is preserved
+            for k, r in enumerate(_temporaries(tables(), kind)[piece]):  # side k is preserved
                 labels = self.base.labels.copy()
                 gashes = set()
                 for s in {0, 1, 2} - {k}:
                     del labels[edges[s]]
-                    gashes.add(PlacedGash(edges[s], outs[s], t[s], r[s]))
+                    gashes.add(PlacedGash(edges[s], outs[s], piece[s], r[s]))
                 res.append(GashedPuzzle(Puzzle(n, labels, rhombi), frozenset(gashes)))
             return res
         if self.flaw_type == "scab":
             x, yy = self.flaw[1]
             labels = self.base.labels.copy()
-            side, (p, q) = scab_table()[_scab_at(labels, x, yy)]
+            side, (p, q) = tables().scabs[_scab_at(labels, x, yy)]
             # the gashes are the right sides (NE, SE) of both cells if the
             # resolution agrees on the left ("L"), else the left sides;
             # a NW-SE ("B") side takes p, a SW-NE ("A") side q
@@ -475,39 +473,38 @@ def recognize_flaw(G: GashedPuzzle) -> FlawedPuzzle:
     scab resolution."""
     g1, g2 = sorted(G.gashes)
     B = G.base
-    n = B.n
+    n, rhombi = B.n, B.rhombi
     # the inner labels: each gash edge gets the label it points at
     labels = B.labels.copy()
     labels[g1.edge] = g1.orig
     labels[g2.edge] = g2.orig
-    c1 = cell_behind(g1.edge, g1.d, n)
-    c2 = cell_behind(g2.edge, g2.d, n)
-    if c1 is None and c2 is None:  # both on a border, pointing in
+    # the cell behind each gash, and the side of it the gash lies on
+    ahead = board_table(n).ahead
+    h1, h2 = ahead[g1.edge, (g1.d + 3) % 6], ahead[g2.edge, (g2.d + 3) % 6]
+    if h1 is None and h2 is None:  # both on a border, pointing in
         (b1, i1), (b2, i2) = border_position(g1.edge, n), border_position(g2.edge, n)
         if b1 == b2:
             positions = tuple(sorted(((i1, g1.new), (i2, g2.new))))
-            P = FlawedPuzzle(Puzzle(n, labels, B.rhombi), ("gashpair", (b1, positions)))
+            P = FlawedPuzzle(Puzzle(n, labels, rhombi), ("gashpair", (b1, positions)))
             P.cover_edge()  # raises if the strings do not form a cover
             return P
-    if c1 is not None and c1 == c2 and B.rhombus_at(c1) is None:
-        edges = cell_sides(c1)
-        s1, s2 = edges.index(g1.edge), edges.index(g2.edge)
-        k = ({0, 1, 2} - {s1, s2}).pop()
-        t = tuple(labels[e] for e in edges)
-        r = tuple(g1.new if i == s1 else g2.new if i == s2 else t[i] for i in range(3))
-        table = _temporaries(c1[0])
-        if t in table and table[t][k] == r:
-            return FlawedPuzzle(Puzzle(n, labels, B.rhombi), ("temporary", c1))
-    r1 = B.rhombus_at(c1) if c1 is not None else None
-    r2 = B.rhombus_at(c2) if c2 is not None else None
-    if r1 is not None and r1 == r2:
-        x, yy = r1
-        s = _scab_at(labels, x, yy)
-        t = tables()
-        if s in t.scabs:
-            # every scab's up-triangle (NW, NE, top) is a valid piece
-            labels[("H", x, yy)] = dict(t.up_by_left[s[0]])[s[1]]
-            return FlawedPuzzle(Puzzle(n, labels, B.rhombi - {r1}), ("scab", (x, yy)))
+    elif h1 is not None and h2 is not None:
+        (c1, s1), (c2, s2) = h1, h2
+        if c1 == c2 and c1.cover not in rhombi:
+            kind, (x, yy), edges, _ = c1
+            k = 3 - s1 - s2  # the side that keeps its label
+            tri = tuple(labels[e] for e in edges)
+            r = tuple(g1.new if i == s1 else g2.new if i == s2 else tri[i] for i in range(3))
+            table = _temporaries(tables(), kind)
+            if tri in table and table[tri][k] == r:
+                return FlawedPuzzle(Puzzle(n, labels, rhombi), ("temporary", (kind, x, yy)))
+        elif c1.cover == c2.cover and c1.cover in rhombi:
+            x, yy = c1.cover
+            s, t = _scab_at(labels, x, yy), tables()
+            if s in t.scabs:
+                # every scab's up-triangle (NW, NE, top) is a valid piece
+                labels[("H", x, yy)] = dict(t.up_by_left[s[0]])[s[1]]
+                return FlawedPuzzle(Puzzle(n, labels, rhombi - {c1.cover}), ("scab", (x, yy)))
     raise FlawRecognitionError(f"stuck gashes {sorted(G.gashes)} match no flaw")
 
 

@@ -25,8 +25,9 @@ def _step(G: GashedPuzzle, g: PlacedGash, t: PieceTables):
     if cell is None:
         return "stuck"
     other_edges = {h.edge for h in G.gashes if h != g}
-    r0 = B.rhombus_at(cell)
-    if r0 is not None:
+    kind, x, yy = cell
+    r0 = (x, yy) if kind == "U" else (x, yy - 1)  # the rhombus that would cover the cell
+    if r0 in B.rhombi:
         p_pair, q_pair = rhombus_outer_edges(r0)
         if other_edges & (set(p_pair) | set(q_pair)):
             return "blocked"

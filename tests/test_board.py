@@ -6,13 +6,17 @@ import json
 import re
 
 import pytest
+import reference_board
 from conftest import demo_puzzle
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from twostep import search
 from twostep.algebra import YPoly, y
 from twostep.board import (
     Puzzle,
     all_edges,
+    board_table,
     border_edge,
     border_position,
     cell_ahead,
@@ -20,6 +24,7 @@ from twostep.board import (
     down_cell_edges,
     down_cells,
     edge_weight,
+    on_board,
     puzzle_from_json,
     puzzle_to_json,
     render_svg,
@@ -57,7 +62,8 @@ def test_rhombus_geometry():
     P = Puzzle(4, {}, frozenset({r}))
     assert P.covered_cells() == ({(1, 2)}, {(1, 3)})
     cells = [("U", 1, 2), ("D", 1, 3), ("U", 1, 3), ("D", 1, 2), ("D", 2, 3)]
-    assert [P.rhombus_at(c) for c in cells] == [r, r, None, None, None]
+    cover = {(c.kind, *c.anchor): c.cover for c in board_table(4).cells}
+    assert [cover[c] if cover[c] in P.rhombi else None for c in cells] == [r, r, None, None, None]
     inner = rhombus_inner_edge(r)
     assert inner == ("H", 1, 2)
     (p1, p2), (q1, q2) = rhombus_outer_edges(r)
@@ -322,3 +328,80 @@ def test_cell_ahead_reads_cell_sides():
                     assert cell_ahead(cell_sides(c)[s], ins[s], n) == c
     with pytest.raises(ValueError, match="not perpendicular"):
         cell_ahead(("H", 0, 0), 0, 2)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_board_table_matches_the_geometry(n):
+    table = board_table(n)
+    assert table.edges == set(all_edges(n))
+    cells = [("U", *c) for c in up_cells(n)] + [("D", *c) for c in down_cells(n)]
+    assert [(c.kind, *c.anchor) for c in table.cells] == cells
+    for c in table.cells:
+        cell = (c.kind, *c.anchor)
+        assert on_board(cell, n)
+        assert c.sides == cell_sides(cell)
+        ups, downs = Puzzle(n, {}, frozenset({c.cover})).covered_cells()
+        assert c.anchor in (ups if c.kind == "U" else downs)
+    # a rhombus fits when both of its cells are on the board
+    fits = {
+        (x, yy) for x in range(-1, n + 1) for yy in range(-1, n + 1)
+        if on_board(("U", x, yy), n) and on_board(("D", x, yy + 1), n)
+    }
+    assert table.anchors == fits
+    assert table.border == tuple(
+        tuple(border_edge(b, i, n)[0] for i in range(1, n + 1)) for b in "uvw"
+    )
+    for e in all_edges(n):
+        for d in range(6):
+            try:
+                cell = cell_ahead(e, d, n)
+            except ValueError:
+                assert (e, d) not in table.ahead
+                continue
+            hit = table.ahead[e, d]
+            if cell is None:
+                assert hit is None
+            else:
+                c, s = hit
+                assert (c.kind, *c.anchor) == cell
+                assert s == cell_sides(cell).index(e)
+    # each edge has two directions perpendicular to it
+    assert len(table.ahead) == 2 * len(table.edges)
+
+
+@pytest.fixture(scope="module")
+def listed_4_5():
+    """Every puzzle with n = 4, and those of the n = 5 triples whose
+    ``w`` is every seventh string of its content (3,574 puzzles)."""
+    out = [P for P in _listed(4) if P.n == 4]
+    for a, b, n in contents_up_to(5):
+        if n == 5:
+            ss = all_strings(a, b, n)
+            for u, v, w in itertools.product(ss, ss, ss[::7]):
+                if bruhat_leq(u, w) and bruhat_leq(v, w):
+                    out.extend(enumerate_puzzles(u, v, w))
+    return out
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_validate_matches_reference(listed_4_5, data):
+    # the table-driven validate reports the reference's messages, in its
+    # order, for a listed puzzle with one edge relabeled, one edge
+    # deleted, or one rhombus added off the board
+    P = data.draw(st.sampled_from(listed_4_5))
+    labels, rhombi = P.labels.copy(), P.rhombi
+    change = data.draw(st.sampled_from(["relabel", "delete", "off-board rhombus"]))
+    if change == "off-board rhombus":
+        r = data.draw(st.tuples(st.integers(-1, P.n), st.integers(-1, P.n)))
+        assume(r not in board_table(P.n).anchors)
+        rhombi = rhombi | {r}
+    else:
+        e = data.draw(st.sampled_from(sorted(labels)))
+        if change == "delete":
+            del labels[e]
+        else:
+            labels[e] = data.draw(st.sampled_from([l for l in range(8) if l != labels[e]]))
+    Q = Puzzle(P.n, labels, rhombi)
+    assert Q.validate() == reference_board.validate(Q)
+    assert P.validate() == reference_board.validate(P) == []

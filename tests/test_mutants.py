@@ -45,6 +45,13 @@ DIVIDE_LOWERS_WRONG_FIELD = source_mutant(
 )
 # each bottom-row step allowed every simple label, not its label of w
 WALK_IGNORES_BOTTOM_ROW = source_mutant(search._walk, "(w[x],)", "SIMPLE")
+# the board table with the side a gash enters a down-cell by one too high
+# (its own cache: the faulty tables never reach ``board.board_table``'s)
+DOWN_SIDE_OFF_BY_ONE = source_mutant(
+    board.board_table.__wrapped__,
+    "(c, c.sides.index(e))",
+    '(c, (c.sides.index(e) + (c.kind == "D")) % 3)',
+)
 
 
 def v_points_out(border, i, n):
@@ -72,6 +79,7 @@ MUTANTS = [
     ("one-special-lists-nothing", mutation, "enumerate_one_special", lambda *key: iter(()),
      MUTATION),
     ("neighbours-drops-last", aura, "neighbours", lambda *key: neighbours(*key)[:-1], AURA),
+    ("board-table-down-side-off-by-one", mutation, "board_table", DOWN_SIDE_OFF_BY_ONE, MUTATION),
 ]
 
 
@@ -79,16 +87,18 @@ MUTANTS = [
     "target, attr, fault, argv", [m[1:] for m in MUTANTS], ids=[m[0] for m in MUTANTS]
 )
 def test_mutant_is_caught(monkeypatch, capsys, target, attr, fault, argv):
-    # neither the oracle cache nor the listing memo may hold an entry
-    # computed with a fault in place, or one that would hide the fault
-    strings.oracle_constant.cache_clear()
-    search._listing.cache_clear()
+    # neither the oracle cache, the listing memo nor the board tables may
+    # hold an entry computed with a fault in place, or one that would
+    # hide the fault
+    caches = (strings.oracle_constant, search._listing, board.board_table)
+    for cache in caches:
+        cache.cache_clear()
     monkeypatch.setattr(target, attr, fault)
     try:
         assert cli.main(argv) == 1
     finally:
-        strings.oracle_constant.cache_clear()
-        search._listing.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
     out, err = capsys.readouterr()
     assert json.loads(out)["pass"] is False
     assert err == ""

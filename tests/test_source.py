@@ -77,6 +77,7 @@ def test_every_cache_is_listed_with_its_bound():
                 for bound in _cache_bounds(node):
                     found[f"{path.stem}.{node.name}"] = bound
     assert found == {
+        "board.board_table": 64,
         "labels._tables_cached": 4,
         "search._listing": 64,
         "strings.oracle_constant": None,
